@@ -54,7 +54,9 @@ func twoJoinSpillDB(t testing.TB) *Database {
 	return db
 }
 
-const twoJoinSpillSQL = "SELECT d1v, COUNT(*), SUM(v) FROM f " +
+// The query reads a payload column of each dimension: the planner scans
+// only the columns a query names, and a key-only build side stays small.
+const twoJoinSpillSQL = "SELECT d1v, COUNT(*), SUM(v), MAX(d2v) FROM f " +
 	"JOIN d1 ON k1 = d1k JOIN d2 ON k2 = d2k GROUP BY d1v"
 
 // TestTwoJoinSpillStatsDistinct is the regression test for the operator
@@ -237,7 +239,7 @@ func redactCounters(s string) string {
 
 // TestExplainAnalyzeGolden pins the rendered output shape — stable
 // plan-order IDs, deterministic operator ordering, routine annotations —
-// for a serial, a parallel and a spilling plan. Counters are redacted;
+// for a serial, a join-pushdown, a parallel and a spilling plan. Counters are redacted;
 // regenerate with `go test -run Golden -update-golden .`.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	db := spillTestDB(t)
@@ -250,6 +252,14 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			name: "serial",
 			sql:  "SELECT dval, COUNT(*), SUM(v) FROM t JOIN d ON k = dkey GROUP BY dval ORDER BY dval",
 			opt:  QueryOptions{Plan: planWorkers(-1)},
+		},
+		{
+			// Single-input conjuncts run below the join: the fact filter
+			// on the fact scan, the dimension filter under the FlowTable.
+			name: "join-pushdown",
+			sql: "SELECT dval, COUNT(*), SUM(v) FROM t JOIN d ON k = dkey " +
+				"WHERE dval < 'dim-5' AND v > 10 GROUP BY dval ORDER BY dval",
+			opt: QueryOptions{Plan: planWorkers(-1)},
 		},
 		{
 			name: "parallel",

@@ -181,6 +181,51 @@ func TestEncodedMatchesDecoded(t *testing.T) {
 	}
 }
 
+// TestJoinEncodedOff: EncodedExec off reaches every filter of a join
+// plan — the ones moved below the join included — so the decoded oracle
+// arm of the differential sweeps never runs an encoded routine.
+func TestJoinEncodedOff(t *testing.T) {
+	db := encodedTestDB(t)
+	var sb strings.Builder
+	for i := 0; i < 20; i++ {
+		fmt.Fprintf(&sb, "%d,name-%d\n", i, i%5)
+	}
+	opt := DefaultImportOptions()
+	opt.Schema = []string{"gk:int", "name:str"}
+	opt.HeaderSet, opt.HasHeader = true, false
+	if err := db.ImportCSV("gd", []byte(sb.String()), opt); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT name, SUM(v) FROM m JOIN gd ON g = gk WHERE g = 3 GROUP BY name"
+	ctx := context.Background()
+	on, err := db.QueryContext(ctx, sql, QueryOptions{Plan: scanPlanSerial(plan.EncodedAuto)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := routineOf(t, on, "Select"); r != "dict-filter" {
+		t.Fatalf("join filter routine %q with encoded execution on, want dict-filter:\n%s",
+			r, on.ExplainAnalyze())
+	}
+	off, err := db.QueryContext(ctx, sql, QueryOptions{Plan: scanPlanSerial(plan.EncodedOff)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(off.Plan, "EncodedExec[off]") {
+		t.Fatalf("join plan does not record EncodedExec[off]: %s", off.Plan)
+	}
+	for _, op := range off.Stats().Operators {
+		for _, r := range []string{"dict-filter", "rle-", "token-direct", "(runs)"} {
+			if strings.Contains(op.Routine, r) {
+				t.Fatalf("%s #%d ran %q with encoded execution off:\n%s",
+					op.Kind, op.ID, op.Routine, off.ExplainAnalyze())
+			}
+		}
+	}
+	if !rowsMatch(sortedRows(on.Rows), sortedRows(off.Rows)) {
+		t.Fatalf("encoded join answer %v != decoded %v", on.Rows, off.Rows)
+	}
+}
+
 // TestDeltaScanStaysDecoded is the regression test for the write-path
 // interaction: a dirty table (live delta) must take the decoded
 // DeltaScan path — run emission reasons from the base table's stored

@@ -77,10 +77,12 @@ func TestDifferentialSpill(t *testing.T) {
 
 // TestGeneratorShape spot-checks the grammar: every draw parses (the
 // oracle in Run would otherwise fail late), stays on known tables, and
-// every LIMIT is preceded by an ORDER BY so the cut is deterministic.
+// every LIMIT is preceded by an ORDER BY so the cut is deterministic. It
+// also demands every join WHERE shape on the planner's filter move-around
+// boundary, and the wide join that keeps the spill sweep spilling.
 func TestGeneratorShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	sawJoin, sawGroup, sawTopN := false, false, false
+	shapes := map[string]bool{}
 	for i := 0; i < 500; i++ {
 		q := randomQuery(rng)
 		if !strings.HasPrefix(q, "SELECT ") {
@@ -89,13 +91,30 @@ func TestGeneratorShape(t *testing.T) {
 		if strings.Contains(q, " LIMIT ") && !strings.Contains(q, " ORDER BY ") {
 			t.Fatalf("LIMIT without total order is nondeterministic: %s", q)
 		}
-		sawJoin = sawJoin || strings.Contains(q, " JOIN ")
-		sawGroup = sawGroup || strings.Contains(q, " GROUP BY ")
-		sawTopN = sawTopN || strings.Contains(q, " LIMIT ")
+		where := ""
+		if i := strings.Index(q, " WHERE "); i >= 0 {
+			where = q[i:]
+		}
+		join := strings.Contains(q, " JOIN ")
+		left := strings.Contains(q, " LEFT JOIN ")
+		for shape, ok := range map[string]bool{
+			"join":              join,
+			"group":             strings.Contains(q, " GROUP BY "),
+			"topn":              strings.Contains(q, " LIMIT "),
+			"join fact AND dim": join && strings.Contains(where, "l_") && strings.Contains(where, " AND o_"),
+			"join cross-side":   join && strings.Contains(where, "l_shipdate > o_orderdate"),
+			"join OR":           join && strings.Contains(where, " OR "),
+			"left join IS NULL": left && strings.Contains(where, "IS NULL"),
+			"wide join":         strings.Contains(q, "GROUP BY o_comment"),
+		} {
+			shapes[shape] = shapes[shape] || ok
+		}
 	}
-	if !sawJoin || !sawGroup || !sawTopN {
-		t.Fatalf("generator never produced some shape: join=%v group=%v topn=%v",
-			sawJoin, sawGroup, sawTopN)
+	for _, shape := range []string{"join", "group", "topn", "join fact AND dim",
+		"join cross-side", "join OR", "left join IS NULL", "wide join"} {
+		if !shapes[shape] {
+			t.Errorf("generator never produced a %s query", shape)
+		}
 	}
 }
 

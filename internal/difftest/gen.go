@@ -108,14 +108,59 @@ func flightsWhere(rng *rand.Rand) string {
 	}
 }
 
-func joinWhere(rng *rand.Rand) string {
-	switch rng.Intn(3) {
+// joinWhere draws a WHERE clause across the join planner's filter
+// move-around boundary: single-input conjuncts (moved below the join), an
+// AND of a lineitem and an orders conjunct (split between the inputs),
+// cross-input comparisons and ORs (kept above the join), and, under LEFT
+// JOIN, orders predicates including IS NULL, which must stay above the
+// join because the NULL-extended rows have to see them.
+func joinWhere(rng *rand.Rand, left bool) string {
+	switch rng.Intn(6) {
+	case 0:
+		return lineitemConjunct(rng)
+	case 1:
+		return ordersConjunct(rng, left)
+	case 2:
+		return lineitemConjunct(rng) + " AND " + ordersConjunct(rng, left)
+	case 3:
+		if rng.Intn(2) == 0 {
+			return "l_shipdate > o_orderdate"
+		}
+		return fmt.Sprintf("l_extendedprice * %d > o_totalprice", 2+rng.Intn(19))
+	case 4:
+		return fmt.Sprintf("(%s OR %s)", lineitemConjunct(rng), ordersConjunct(rng, left))
+	default:
+		return ordersConjunct(rng, left) + " AND l_shipdate > o_orderdate"
+	}
+}
+
+func lineitemConjunct(rng *rand.Rand) string {
+	if rng.Intn(2) == 0 {
+		return fmt.Sprintf("l_quantity > %d", 1+rng.Intn(45))
+	}
+	return fmt.Sprintf("l_shipdate >= DATE '%d-01-01'", 1993+rng.Intn(5))
+}
+
+// ordersConjunct draws a predicate over orders alone; NULL tests only
+// under LEFT JOIN, where unmatched rows read NULL orders columns.
+func ordersConjunct(rng *rand.Rand, left bool) string {
+	n := 3
+	if left {
+		n = 6
+	}
+	switch rng.Intn(n) {
 	case 0:
 		return fmt.Sprintf("o_totalprice > %d", 10000+1000*rng.Intn(100))
 	case 1:
-		return fmt.Sprintf("l_quantity > %d", 1+rng.Intn(45))
-	default:
 		return fmt.Sprintf("o_orderstatus = '%s'", []string{"F", "O", "P"}[rng.Intn(3)])
+	case 2:
+		return fmt.Sprintf("o_orderdate < DATE '%d-07-01'", 1992+rng.Intn(7))
+	case 3:
+		return "o_totalprice IS NULL"
+	case 4:
+		return "o_orderpriority IS NULL"
+	default:
+		return "o_orderdate IS NOT NULL"
 	}
 }
 
@@ -157,6 +202,9 @@ func groupQuery(rng *rand.Rand, table string, groupCols, aggCols []colDef,
 }
 
 func joinQuery(rng *rand.Rand) string {
+	if rng.Intn(4) == 0 {
+		return wideJoinQuery(rng)
+	}
 	keys := pickCols(rng, joinGroupCols, 1+rng.Intn(2))
 	items := append([]string{}, keys...)
 	nAggs := 1 + rng.Intn(2)
@@ -164,18 +212,28 @@ func joinQuery(rng *rand.Rand) string {
 		items = append(items, aggExpr(rng, joinAggCols, fmt.Sprintf("a%d", i)))
 	}
 	items = append(items, "COUNT(*) AS cnt")
+	left := rng.Intn(3) == 0
 	join := "JOIN"
-	if rng.Intn(4) == 0 {
+	if left {
 		join = "LEFT JOIN"
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "SELECT %s FROM lineitem %s orders ON l_orderkey = o_orderkey",
 		strings.Join(items, ", "), join)
-	if rng.Intn(2) == 0 {
-		fmt.Fprintf(&sb, " WHERE %s", joinWhere(rng))
+	if rng.Intn(4) < 2 || left && rng.Intn(2) == 0 {
+		fmt.Fprintf(&sb, " WHERE %s", joinWhere(rng, left))
 	}
 	fmt.Fprintf(&sb, " GROUP BY %s", strings.Join(keys, ", "))
 	return sb.String()
+}
+
+// wideJoinQuery groups the join by o_comment, a near-unique orders
+// column, with no filter. The join reads only the columns a query names,
+// so narrow join shapes no longer outgrow the spill sweep's 1 MiB budget;
+// this one's grouping state still does, at every worker count.
+func wideJoinQuery(rng *rand.Rand) string {
+	return fmt.Sprintf("SELECT o_comment, %s, COUNT(*) AS cnt FROM lineitem JOIN orders "+
+		"ON l_orderkey = o_orderkey GROUP BY o_comment", aggExpr(rng, joinAggCols, "a0"))
 }
 
 // topNSelect is a plain selection ordered by lineitem's unique key

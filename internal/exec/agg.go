@@ -92,6 +92,10 @@ type acc struct {
 	seen     bool
 	distinct map[uint64]struct{}
 	all      []uint64
+	// spooled marks a COUNTD/MEDIAN the spill merge fallback finished
+	// outside the group (valueSpool); result is the final value.
+	spooled bool
+	result  uint64
 }
 
 // aggCore is the grouping machinery shared by the serial Aggregate and
@@ -926,6 +930,9 @@ func (a *Aggregate) next(b *vec.Block) (bool, error) {
 }
 
 func finishAcc(ac *acc, s AggSpec, t types.Type) uint64 {
+	if ac.spooled {
+		return ac.result
+	}
 	switch s.Func {
 	case Count:
 		return uint64(ac.count)

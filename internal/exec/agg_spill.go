@@ -20,7 +20,8 @@ import (
 // not fit is recursively re-partitioned with a deeper hash salt, and at
 // spillMaxDepth — where re-hashing can no longer separate a dominant key
 // — a merge-based fallback sorts the partial rows by key content and
-// folds one group at a time.
+// folds one group at a time, its COUNTD/MEDIAN values through a
+// valueSpool (agg_spool.go).
 //
 // Partial-row layout: the group's key columns followed by fixed-size
 // accumulator fields per aggregate spec. Groups carrying per-input-row
@@ -305,10 +306,13 @@ func (sp *aggSpill) appendGroup(w *spill.Writer, core *aggCore, g *group, row []
 	return nil
 }
 
-// foldRow folds one spilled partial row into core. val and strHeap
-// resolve the row's columns (chunk-local tokens for strings); keys is
-// scratch for the re-interned key tuple.
-func (sp *aggSpill) foldRow(core *aggCore, val func(c int) uint64, strHeap func(c int) *heap.Heap, keys []uint64) {
+// foldRow folds one spilled partial row into core and returns its group.
+// val and strHeap resolve the row's columns (chunk-local tokens for
+// strings); keys is scratch for the re-interned key tuple. With spools
+// (the merge fallback), COUNTD and MEDIAN values go to spec j's spool
+// instead of the group.
+func (sp *aggSpill) foldRow(core *aggCore, val func(c int) uint64, strHeap func(c int) *heap.Heap,
+	keys []uint64, spools []*valueSpool) *group {
 	for j, kcol := range sp.keyCols {
 		v := val(j)
 		if sp.rowSpecs[j].Str && v != types.NullToken {
@@ -365,6 +369,10 @@ func (sp *aggSpill) foldRow(core *aggCore, val func(c int) uint64, strHeap func(
 				break
 			}
 			v := val(at + 1)
+			if spools != nil {
+				spools[j].add(v, strHeap(at+1))
+				break
+			}
 			if sp.rowSpecs[at+1].Str && v != types.NullToken {
 				v = core.strAccs[s.Col].Intern(strHeap(at + 1).Get(v))
 			}
@@ -373,10 +381,15 @@ func (sp *aggSpill) foldRow(core *aggCore, val func(c int) uint64, strHeap func(
 			if val(at) == 0 {
 				break
 			}
+			if spools != nil {
+				spools[j].add(val(at+1), nil)
+				break
+			}
 			ac.count++
 			ac.all = append(ac.all, val(at+1))
 		}
 	}
+	return g
 }
 
 // foldChunk folds one spilled chunk into core and charges the growth,
@@ -388,7 +401,7 @@ func (sp *aggSpill) foldChunk(core *aggCore, ch *spill.Chunk) error {
 		sp.foldRow(core,
 			func(c int) uint64 { return ch.Cols[c].Values[r] },
 			func(c int) *heap.Heap { return ch.Cols[c].Heap },
-			keys)
+			keys, nil)
 	}
 	grown := heapSizes(core.strHeaps)
 	cost := (len(core.groups)-before)*core.groupCost + ch.Rows*core.perRow + (grown - core.heapBytes)
@@ -656,12 +669,13 @@ func (e *aggSpillEmitter) close() {
 // aggMergeEmit is the depth-cap fallback: the partition's partial rows
 // are externally sorted by key content and folded one group at a time —
 // a group is the only state held, so a dominant key that re-hashing
-// cannot split still aggregates in bounded memory (unless that single
-// group's own COUNTD/MEDIAN state exceeds the budget, which no grouping
-// strategy can fix).
+// cannot split still aggregates in bounded memory. A group's own
+// COUNTD/MEDIAN values pass through spools, which sort them externally
+// when even that one group's state exceeds the budget.
 type aggMergeEmit struct {
 	sp      *aggSpill
 	out     []ColInfo
+	spools  []*valueSpool // per spec; nil entries for the fixed-size ones
 	cursors []*mergeCursor
 	prevV   []uint64
 	prevS   []string
@@ -674,9 +688,19 @@ func (e *aggSpillEmitter) startMerge(p aggPartition) error {
 	sp := e.sp
 	sp.stats.AddSpill()
 	m := &aggMergeEmit{sp: sp, out: e.out,
+		spools:  make([]*valueSpool, len(sp.aspecs)),
 		prevV:   make([]uint64, len(sp.keyCols)),
 		prevS:   make([]string, len(sp.keyCols)),
 		prevNul: make([]bool, len(sp.keyCols))}
+	var stateful []int
+	for j, s := range sp.aspecs {
+		if s.Col >= 0 && (s.Func == CountD || s.Func == Median) {
+			stateful = append(stateful, j)
+		}
+	}
+	for _, j := range stateful {
+		m.spools[j] = newValueSpool(sp, j, len(stateful))
+	}
 
 	nc := len(sp.rowSpecs)
 	var runs []string
@@ -903,8 +927,13 @@ func (m *aggMergeEmit) next(b *vec.Block) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	fail := func(err error) (bool, error) {
+		core.release(sp.qc)
+		return false, err
+	}
 	keys := make([]uint64, len(sp.keyCols))
 	count, folded := 0, 0
+	var g *group
 	m.have = false
 	for {
 		i := pickMin(m.cursors, m.keyLess)
@@ -913,6 +942,10 @@ func (m *aggMergeEmit) next(b *vec.Block) (bool, error) {
 		}
 		cur := m.cursors[i]
 		if m.have && !m.sameKey(cur) {
+			if err := m.finishGroup(g); err != nil {
+				return fail(err)
+			}
+			g = nil
 			count++
 			if count >= mergeGroupCap {
 				break // leave the new key's rows for the next block
@@ -922,14 +955,13 @@ func (m *aggMergeEmit) next(b *vec.Block) (bool, error) {
 			m.captureKey(cur)
 			m.have = true
 		}
-		sp.foldRow(core,
+		g = sp.foldRow(core,
 			func(c int) uint64 { return cur.val(c) },
 			func(c int) *heap.Heap { return cur.strHeap(c) },
-			keys)
+			keys, m.spools)
 		folded++
 		if err := cur.advance(); err != nil {
-			core.release(sp.qc)
-			return false, err
+			return fail(err)
 		}
 		if cur.done {
 			cur.close(true)
@@ -939,10 +971,12 @@ func (m *aggMergeEmit) next(b *vec.Block) (bool, error) {
 		core.release(sp.qc)
 		return false, nil
 	}
-	cost := len(core.groups)*core.groupCost + folded*core.perRow + heapSizes(core.strHeaps)
+	if err := m.finishGroup(g); err != nil {
+		return fail(err)
+	}
+	cost := len(core.groups)*core.groupCost + heapSizes(core.strHeaps)
 	if err := sp.qc.Charge(sp.op, cost); err != nil {
-		core.release(sp.qc)
-		return false, err
+		return fail(err)
 	}
 	core.charged += cost
 	n := core.emit(b, 0, m.out)
@@ -950,7 +984,31 @@ func (m *aggMergeEmit) next(b *vec.Block) (bool, error) {
 	return n > 0, nil
 }
 
+// finishGroup stores the spooled aggregates' results into g (nil when
+// the group was already finished).
+func (m *aggMergeEmit) finishGroup(g *group) error {
+	if g == nil {
+		return nil
+	}
+	for j, v := range m.spools {
+		if v == nil {
+			continue
+		}
+		res, err := v.result()
+		if err != nil {
+			return err
+		}
+		g.accs[j].spooled, g.accs[j].result = true, res
+	}
+	return nil
+}
+
 func (m *aggMergeEmit) close() {
+	for _, v := range m.spools {
+		if v != nil {
+			v.reset()
+		}
+	}
 	for _, c := range m.cursors {
 		if c != nil {
 			c.close(true)

@@ -30,7 +30,6 @@ type Scan struct {
 	// alignment across columns, and string columns resolve through heaps.
 	EmitRuns bool
 	runCol   int
-	runBuf   []enc.Run
 	// cache is the shared decode cache (nil outside a serving process);
 	// cacheCols marks which columns it can serve (everything but
 	// run-length streams, which have no block structure).
@@ -154,16 +153,18 @@ func (s *Scan) next(b *vec.Block) (bool, error) {
 			// Compressed execution: hand the runs downstream instead of
 			// expanding them. Bytes scanned counts one value per run — the
 			// decode work actually done.
-			var covered int
-			s.runBuf, covered = r.ReadRuns(s.at, n, s.runBuf[:0])
+			// The runs get a fresh slice per block: a parallel consumer
+			// still folds this block while the next Next call fills its
+			// own, so a scan-owned buffer would be overwritten under it.
+			runs, covered := r.ReadRuns(s.at, n, nil)
 			if covered != n {
 				return false, fmt.Errorf("exec: short run read: %d of %d", covered, n)
 			}
-			for j := range s.runBuf {
-				s.runBuf[j].Value = resolveRaw(s.runBuf[j].Value, w, info)
+			for j := range runs {
+				runs[j].Value = resolveRaw(runs[j].Value, w, info)
 			}
-			v.Runs = s.runBuf
-			s.st.AddBytesScanned(int64(len(s.runBuf) * w))
+			v.Runs = runs
+			s.st.AddBytesScanned(int64(len(runs) * w))
 			continue
 		}
 		var got int

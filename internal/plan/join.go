@@ -50,36 +50,85 @@ type JoinQuery struct {
 // RLE restriction), then apply the usual filter/compute/aggregate tail.
 // Tactical join-algorithm upgrades (fetch/direct) happen per join from
 // the dimensions' FlowTable metadata.
+//
+// The strategic moves of the single-table planner apply per input
+// (DESIGN.md §4): WHERE conjuncts that one input owns run as a filter on
+// that input's scan, below the joins, and feed its zone filters; each
+// scan reads only the columns the query names on that input.
 func BuildJoin(q JoinQuery, opt Options) (exec.Operator, *Explain, error) {
 	ex := &Explain{}
-	scan, err := newTableScan(q.Fact, q.FactDelta, ex)
+	if opt.EncodedExec < 0 {
+		ex.add("EncodedExec[off]")
+	}
+	ins := []*joinInput{{table: q.Fact, delta: q.FactDelta, alias: q.FactAlias, pushable: true}}
+	for _, j := range q.Joins {
+		if j.Table.ColumnIndex(j.InnerKey) < 0 {
+			return nil, nil, fmt.Errorf("plan: join key %q not in table %q", j.InnerKey, j.Table.Name)
+		}
+		ins = append(ins, &joinInput{table: j.Table, delta: j.Delta, alias: j.Alias,
+			key: j.InnerKey, pushable: !j.LeftOuter})
+	}
+
+	// Reuse the single-table tail by lowering into a Query with the fact
+	// table ignored (the operators are already built).
+	tail := Query{
+		Compute: q.Compute,
+		GroupBy: q.GroupBy,
+		Aggs:    q.Aggs,
+		Select:  q.Select,
+		OrderBy: q.OrderBy,
+		Having:  q.Having,
+		Limit:   q.Limit,
+	}
+	// Filtering move-around (Sect. 2.3.1): a whole conjunct moves below the
+	// joins when every name in it belongs to one pushable input.
+	if q.Where != nil {
+		var residual []expr.Expr
+		for _, cj := range splitConjuncts(expr.Simplify(q.Where)) {
+			if in := soleOwner(ins, Columns(cj)); in != nil && in.pushable {
+				in.pushed = append(in.pushed, cj)
+			} else {
+				residual = append(residual, cj)
+			}
+		}
+		tail.Where = combineConjuncts(residual)
+	}
+	// Column pruning; a bare join projection keeps every column.
+	if len(q.Select) > 0 || len(q.GroupBy) > 0 || len(q.Aggs) > 0 {
+		names := neededColumns(tail)
+		for _, in := range ins {
+			for _, cj := range in.pushed {
+				names = append(names, Columns(cj)...)
+			}
+		}
+		for i, j := range q.Joins {
+			names = append(names, j.OuterKey)
+			ins[i+1].need(j.InnerKey)
+		}
+		for _, n := range names {
+			if in, col := owner(ins, n); in != nil {
+				in.need(col)
+			}
+		}
+	}
+
+	op, err := ins[0].plan(opt, ex)
 	if err != nil {
 		return nil, nil, err
 	}
-	var op exec.Operator = aliasOp{Operator: scan, prefix: q.FactAlias}
-
-	for _, j := range q.Joins {
-		innerScan, err := newTableScan(j.Table, j.Delta, nil)
+	for i, j := range q.Joins {
+		inner, err := ins[i+1].plan(opt, ex)
 		if err != nil {
 			return nil, nil, err
 		}
 		cfg := exec.DefaultFlowTableConfig()
 		cfg.DisallowRLE = true // hash-join inner restriction (Sect. 4.3)
-		ft := exec.NewFlowTable(aliasOp{Operator: innerScan, prefix: j.Alias}, cfg)
+		ft := exec.NewFlowTable(inner, cfg)
 		outerIdx := colIndex(op.Schema(), j.OuterKey)
 		if outerIdx < 0 {
 			return nil, nil, fmt.Errorf("plan: join key %q not in outer schema", j.OuterKey)
 		}
-		innerIdx := -1
-		for i, info := range ft.Schema() {
-			if info.Name == qualify(j.Alias, j.InnerKey) || info.Name == j.InnerKey {
-				innerIdx = i
-				break
-			}
-		}
-		if innerIdx < 0 {
-			return nil, nil, fmt.Errorf("plan: join key %q not in table %q", j.InnerKey, j.Table.Name)
-		}
+		innerIdx := colIndex(ft.Schema(), qualify(j.Alias, j.InnerKey))
 		join := exec.NewHashJoin(op, ft, outerIdx, innerIdx, exec.JoinAuto)
 		join.LeftOuter = j.LeftOuter
 		kind := "Join"
@@ -97,23 +146,12 @@ func BuildJoin(q JoinQuery, opt Options) (exec.Operator, *Explain, error) {
 		op = join
 	}
 
-	// Reuse the single-table tail by lowering into a Query with the fact
-	// table ignored (the operators are already built).
-	tail := Query{
-		Compute: q.Compute,
-		GroupBy: q.GroupBy,
-		Aggs:    q.Aggs,
-		Select:  q.Select,
-		OrderBy: q.OrderBy,
-		Having:  q.Having,
-		Limit:   q.Limit,
-	}
-	if q.Where != nil {
-		pred, err := Rebind(expr.Simplify(q.Where), op.Schema())
+	if tail.Where != nil {
+		pred, err := Rebind(tail.Where, op.Schema())
 		if err != nil {
 			return nil, nil, err
 		}
-		op = exec.NewSelect(op, pred)
+		op = newSelect(op, pred, opt)
 		ex.add("Filter[%s]", pred)
 	}
 	op, err = finishPlan(op, tail, opt, tableRows(q.Fact, q.FactDelta), ex)
@@ -122,6 +160,88 @@ func BuildJoin(q JoinQuery, opt Options) (exec.Operator, *Explain, error) {
 	}
 	ex.Tree = exec.AssignOpIDs(op)
 	return op, ex, nil
+}
+
+// joinInput is one input of a star join — the fact table first, then the
+// dimensions in join order — with the conjuncts and columns the planner
+// assigned to it.
+type joinInput struct {
+	table *storage.Table
+	delta *delta.View
+	alias string
+	// key is a dimension's inner key; the join drops it from its output,
+	// so it owns no name.
+	key string
+	// pushable marks inputs whose own conjuncts may run below the joins:
+	// the fact side always, a dimension only when inner-joined, because a
+	// LEFT JOIN's NULL-extended rows must still see the filter.
+	pushable bool
+	pushed   []expr.Expr
+	// cols is the set of stored columns the scan reads; nil reads all.
+	cols map[string]bool
+}
+
+func (in *joinInput) need(col string) {
+	if in.cols == nil {
+		in.cols = map[string]bool{}
+	}
+	in.cols[col] = true
+}
+
+// plan builds the input's scan (needed columns in table order), its zone
+// filters, the alias rename and the pushed filter.
+func (in *joinInput) plan(opt Options, ex *Explain) (exec.Operator, error) {
+	var names []string
+	for _, c := range in.table.Columns {
+		if in.cols[c.Name] {
+			names = append(names, c.Name)
+		}
+	}
+	scan, err := newTableScan(in.table, in.delta, ex, names...)
+	if err != nil {
+		return nil, err
+	}
+	where := combineConjuncts(in.pushed)
+	attachZoneFilters(scan, where, in.table, in.alias, opt, ex)
+	var op exec.Operator = aliasOp{Operator: scan, prefix: in.alias}
+	if where == nil {
+		return op, nil
+	}
+	pred, err := Rebind(where, op.Schema())
+	if err != nil {
+		return nil, err
+	}
+	ex.add("Filter[%s]", pred)
+	return newSelect(op, pred, opt), nil
+}
+
+// owner resolves a joined-schema name to the first input with a matching
+// qualified column — the first-match rule colIndex applies to the joined
+// schema — and returns that column's stored name. nil means no input
+// stores the name (a computed column, or an unknown one).
+func owner(ins []*joinInput, name string) (*joinInput, string) {
+	for _, in := range ins {
+		for _, c := range in.table.Columns {
+			if c.Name != in.key && qualify(in.alias, c.Name) == name {
+				return in, c.Name
+			}
+		}
+	}
+	return nil, ""
+}
+
+// soleOwner returns the input owning every name, or nil when the names
+// span inputs, name no stored column, or are empty.
+func soleOwner(ins []*joinInput, names []string) *joinInput {
+	var only *joinInput
+	for _, n := range names {
+		in, _ := owner(ins, n)
+		if in == nil || only != nil && in != only {
+			return nil
+		}
+		only = in
+	}
+	return only
 }
 
 func qualify(alias, name string) string {

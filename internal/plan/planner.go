@@ -397,7 +397,7 @@ func buildScanPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	attachZoneFilters(scan, q, opt, ex)
+	attachZoneFilters(scan, q.Where, q.Table, "", opt, ex)
 	// DeltaScan always emits decoded blocks (the overlay merge works on
 	// plain rows), so only the plain Scan gets the run-emission switch.
 	if s, ok := scan.(*exec.Scan); ok && opt.EncodedExec >= 0 {
@@ -537,7 +537,7 @@ func buildDictPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 		return nil, err
 	}
 	scan.EmitRuns = opt.EncodedExec >= 0 // the join probe materializes if needed
-	attachZoneFilters(scan, q, opt, ex)
+	attachZoneFilters(scan, q.Where, q.Table, "", opt, ex)
 	ex.add("Scan(%s)", q.Table.Name)
 	outerKey := -1
 	for i, info := range scan.Schema() {

@@ -3,6 +3,7 @@ package plan
 import (
 	"math"
 	"sort"
+	"strings"
 
 	"tde/internal/exec"
 	"tde/internal/expr"
@@ -40,14 +41,15 @@ import (
 // operator above the scan still evaluates the full predicate, so
 // extraction is only ever an optimization.
 
-// zoneFilters extracts the sargable conjuncts of where against tab.
-func zoneFilters(where expr.Expr, tab *storage.Table) []exec.ZoneFilter {
+// zoneFilters extracts the sargable conjuncts of where against tab. alias
+// is the prefix a join input's column names carry ("" for none).
+func zoneFilters(where expr.Expr, tab *storage.Table, alias string) []exec.ZoneFilter {
 	if where == nil {
 		return nil
 	}
 	var out []exec.ZoneFilter
 	for _, cj := range splitConjuncts(where) {
-		if f, ok := zoneFilterFromConjunct(cj, tab); ok {
+		if f, ok := zoneFilterFromConjunct(cj, tab, alias); ok {
 			out = append(out, f)
 		}
 	}
@@ -56,10 +58,10 @@ func zoneFilters(where expr.Expr, tab *storage.Table) []exec.ZoneFilter {
 
 // zoneFilterFromConjunct extracts one conjunct, reporting whether it is
 // sargable.
-func zoneFilterFromConjunct(e expr.Expr, tab *storage.Table) (exec.ZoneFilter, bool) {
+func zoneFilterFromConjunct(e expr.Expr, tab *storage.Table, alias string) (exec.ZoneFilter, bool) {
 	switch x := e.(type) {
 	case *expr.IsNull:
-		col, idx := refColumn(x.E, tab)
+		col, idx := refColumn(x.E, tab, alias)
 		if col == nil || !nullIsSentinelOnly(col) {
 			return exec.ZoneFilter{}, false
 		}
@@ -70,10 +72,10 @@ func zoneFilterFromConjunct(e expr.Expr, tab *storage.Table) (exec.ZoneFilter, b
 		return exec.ZoneFilter{Col: idx, Kind: kind, Name: col.Name}, true
 	case *expr.Cmp:
 		op := x.Op
-		col, idx := refColumn(x.L, tab)
+		col, idx := refColumn(x.L, tab, alias)
 		con, isConst := x.R.(*expr.Const)
 		if col == nil || !isConst {
-			col, idx = refColumn(x.R, tab)
+			col, idx = refColumn(x.R, tab, alias)
 			con, isConst = x.L.(*expr.Const)
 			if col == nil || !isConst {
 				return exec.ZoneFilter{}, false
@@ -95,14 +97,19 @@ func zoneFilterFromConjunct(e expr.Expr, tab *storage.Table) (exec.ZoneFilter, b
 	return exec.ZoneFilter{}, false
 }
 
-// refColumn resolves a ColRef against the stored table, by name — at
-// extraction time the WHERE tree is still over named references.
-func refColumn(e expr.Expr, tab *storage.Table) (*storage.Column, int) {
+// refColumn resolves a ColRef against the stored table, by name with the
+// alias prefix stripped — at extraction time the WHERE tree is still over
+// named references.
+func refColumn(e expr.Expr, tab *storage.Table, alias string) (*storage.Column, int) {
 	r, ok := e.(*expr.ColRef)
 	if !ok {
 		return nil, -1
 	}
-	idx := tab.ColumnIndex(r.Name)
+	name, ok := strings.CutPrefix(r.Name, qualify(alias, ""))
+	if !ok {
+		return nil, -1
+	}
+	idx := tab.ColumnIndex(name)
 	if idx < 0 {
 		return nil, -1
 	}
@@ -191,13 +198,15 @@ func dictTokenRange(c *storage.Column, idx int, lo, hi int64) exec.ZoneFilter {
 		Lo: int64(tLo), Hi: int64(tHi), Name: c.Name}
 }
 
-// attachZoneFilters extracts and attaches zone filters to a freshly
-// planned scan, honoring Options.ZoneSkip, and records the decision.
-func attachZoneFilters(scan exec.Operator, q Query, opt Options, ex *Explain) {
-	if q.Where == nil || opt.ZoneSkip < 0 {
+// attachZoneFilters extracts the zone filters of where against the
+// scanned table and attaches them to a freshly planned scan, honoring
+// Options.ZoneSkip, and records the decision.
+func attachZoneFilters(scan exec.Operator, where expr.Expr, tab *storage.Table, alias string,
+	opt Options, ex *Explain) {
+	if where == nil || opt.ZoneSkip < 0 {
 		return
 	}
-	zf := zoneFilters(q.Where, q.Table)
+	zf := zoneFilters(where, tab, alias)
 	if len(zf) == 0 {
 		return
 	}

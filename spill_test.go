@@ -161,6 +161,16 @@ func TestSpillAggregationMatchesOracle(t *testing.T) {
 		"SELECT k, COUNT(*), SUM(v), MIN(s), MAX(s) FROM t GROUP BY k", 128<<10)
 }
 
+// TestSpillSingleGroupState: one group's COUNTD and MEDIAN state alone
+// outgrows the budget — no re-partitioning by key can split it — so the
+// merge fallback sorts the values externally. Even and odd MEDIAN
+// counts, integer and string COUNTD.
+func TestSpillSingleGroupState(t *testing.T) {
+	db := spillTestDB(t)
+	runSpillOracle(t, db, "SELECT COUNTD(k), COUNTD(s), MEDIAN(v), MEDIAN(k), COUNT(*) FROM t", 256<<10)
+	runSpillOracle(t, db, "SELECT COUNTD(s), MEDIAN(v) FROM t WHERE k <> 17", 256<<10)
+}
+
 func TestSpillJoinMatchesOracle(t *testing.T) {
 	db := spillTestDB(t)
 	runSpillOracle(t, db,
