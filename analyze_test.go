@@ -399,3 +399,58 @@ func TestWriteTraceShape(t *testing.T) {
 		}
 	}
 }
+
+// TestKeylessAggregateScansOneColumn: an aggregate that names no column
+// reads the table's narrowest column only — the scan's bytes are one
+// column's, not the table's — on a clean table (Scan) and a dirty one
+// (DeltaScan).
+func TestKeylessAggregateScansOneColumn(t *testing.T) {
+	db := New()
+	var sb strings.Builder
+	for i := 0; i < 20000; i++ {
+		fmt.Fprintf(&sb, "%d,%d,%d.%02d,w%d\n", i*7919%1000003, i*31%10, i%1000, i%100, i%50)
+	}
+	opt := DefaultImportOptions()
+	opt.Schema = []string{"big:int", "small:int", "x:real", "s:str"}
+	opt.HeaderSet, opt.HasHeader = true, false
+	if err := db.ImportCSV("k", []byte(sb.String()), opt); err != nil {
+		t.Fatal(err)
+	}
+	tab := db.lookup("k")
+	narrow, all := int64(8), int64(0)
+	for _, c := range tab.Columns {
+		w := int64(c.Data.Width())
+		narrow = min(narrow, w)
+		all += w
+	}
+	rows := int64(tab.Rows())
+	check := func(label, scanKind string, wantCount int) {
+		t.Helper()
+		res, err := db.QueryContext(context.Background(), "SELECT COUNT(*) FROM k", QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0]; got != fmt.Sprint(wantCount) {
+			t.Fatalf("%s: COUNT(*) = %s, want %d", label, got, wantCount)
+		}
+		for _, op := range res.Stats().Operators {
+			if op.Kind != scanKind {
+				continue
+			}
+			if op.BytesScanned != rows*narrow {
+				t.Fatalf("%s: %s read %d bytes, want one %d-byte column of %d rows (%d; all columns %d)\n%s",
+					label, scanKind, op.BytesScanned, narrow, rows, rows*narrow, rows*all, res.ExplainAnalyze())
+			}
+			return
+		}
+		t.Fatalf("%s: no %s operator:\n%s", label, scanKind, res.ExplainAnalyze())
+	}
+	check("clean", "Scan", 20000)
+	if _, err := db.Exec("DELETE FROM k WHERE big = 0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec("INSERT INTO k (big, small, x, s) VALUES (1, 2, 3.5, 'new')"); err != nil {
+		t.Fatal(err)
+	}
+	check("dirty", "DeltaScan", 20000)
+}

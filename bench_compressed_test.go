@@ -11,13 +11,15 @@ import (
 
 // Compressed-execution benchmarks on a Flights-style table: a sorted
 // small-domain column (month — run-length encoded at import), a
-// dictionary-compressed small-domain column (carrier) and a plain real
-// payload (delay). Each benchmark runs the same query with encoded
+// dictionary-compressed small-domain column (carrier), a plain real
+// payload (delay) and two small-domain string columns (origin, status). Each benchmark runs the same query with encoded
 // execution forced on and forced off, so the speedup of the encoded
 // routines is directly visible in the Compressed*/encoded vs /decoded
 // pairs guarded by BENCH_compressed.json.
 
 const benchCompressedRows = 1 << 20
+
+var benchOrigins = []string{"ATL", "LAX", "ORD", "DFW", "DEN", "JFK", "SFO", "SEA", "LAS", "MCO"}
 
 var (
 	benchCompressedOnce sync.Once
@@ -29,15 +31,17 @@ func compressedBenchDB(b *testing.B) *Database {
 	benchCompressedOnce.Do(func() {
 		db := New()
 		var sb strings.Builder
-		sb.Grow(benchCompressedRows * 12)
+		sb.Grow(benchCompressedRows * 20)
 		for i := 0; i < benchCompressedRows; i++ {
 			// month is sorted (long runs), carrier is a small random-ish
-			// domain, delay is a plain payload.
-			fmt.Fprintf(&sb, "%d,%d,%d.%02d\n",
-				1+i*12/benchCompressedRows, (i*2654435761)%14, i%120-30, i%100)
+			// domain, delay is a plain payload, origin and status are
+			// small random-ish string domains.
+			fmt.Fprintf(&sb, "%d,%d,%d.%02d,%s,%s\n",
+				1+i*12/benchCompressedRows, (i*2654435761)%14, i%120-30, i%100,
+				benchOrigins[(i*40503)%len(benchOrigins)], []string{"ON", "LATE", "X"}[(i*7)%3])
 		}
 		opt := DefaultImportOptions()
-		opt.Schema = []string{"month:int", "carrier:int", "delay:real"}
+		opt.Schema = []string{"month:int", "carrier:int", "delay:real", "origin:str", "status:str"}
 		opt.HeaderSet, opt.HasHeader = true, false
 		if err := db.ImportCSV("fb", []byte(sb.String()), opt); err != nil {
 			benchCompressedErr = err
@@ -93,4 +97,10 @@ func BenchmarkCompressedDictFilter(b *testing.B) {
 // token-direct: group by dictionary token via a dense array, no hashing.
 func BenchmarkCompressedTokenGroup(b *testing.B) {
 	benchCompressedQuery(b, "SELECT carrier, COUNT(*), SUM(delay) FROM fb GROUP BY carrier")
+}
+
+// token-direct over two string keys: each row's strings map to dense ids
+// through the per-source-token memo and index one composite slot.
+func BenchmarkCompressedStringGroup(b *testing.B) {
+	benchCompressedQuery(b, "SELECT origin, status, COUNT(*), SUM(delay) FROM fb GROUP BY origin, status")
 }

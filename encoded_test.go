@@ -107,6 +107,51 @@ func TestEncodedRoutinesChosen(t *testing.T) {
 	}
 }
 
+// TestQ1ShapeTokenDirect: the TPC-H Q1 shape — two string keys — groups
+// token-direct serially and in parallel, and stays on hash with encoded
+// execution off, with one answer across all four.
+func TestQ1ShapeTokenDirect(t *testing.T) {
+	db := New()
+	var sb strings.Builder
+	for i := 0; i < 20000; i++ {
+		fmt.Fprintf(&sb, "%s,%s,%d,%d.%02d,1998-%02d-%02d\n",
+			[]string{"A", "N", "R"}[i*7%3], []string{"O", "F"}[i*11%2], i%50, i%1000, i%100, 1+i%12, 1+i%28)
+	}
+	opt := DefaultImportOptions()
+	opt.Schema = []string{"flag:str", "status:str", "qty:int", "price:real", "shipdate:date"}
+	opt.HeaderSet, opt.HasHeader = true, false
+	if err := db.ImportCSV("li", []byte(sb.String()), opt); err != nil {
+		t.Fatal(err)
+	}
+	const sql = `SELECT flag, status, SUM(qty), SUM(price), AVG(price), COUNT(*) FROM li
+		WHERE shipdate <= DATE '1998-10-01' GROUP BY flag, status ORDER BY flag, status`
+	var want *Result
+	for _, tc := range []struct {
+		workers, enc  int
+		kind, routine string
+	}{
+		{-1, plan.EncodedAuto, "Aggregate", "token-direct"},
+		{2, plan.EncodedAuto, "ParallelAggregate", "token-direct(workers=2)"},
+		{-1, plan.EncodedOff, "Aggregate", "hash"},
+		{2, plan.EncodedOff, "ParallelAggregate", "hash(workers=2)"},
+	} {
+		res, err := db.QueryContext(context.Background(), sql,
+			QueryOptions{Plan: plan.Options{ParallelWorkers: tc.workers, EncodedExec: tc.enc}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := routineOf(t, res, tc.kind); r != tc.routine {
+			t.Fatalf("workers=%d encoded=%d: %s routine %q, want %q\n%s",
+				tc.workers, tc.enc, tc.kind, r, tc.routine, res.ExplainAnalyze())
+		}
+		if want == nil {
+			want = res
+		} else if !rowsMatch(sortedRows(want.Rows), sortedRows(res.Rows)) {
+			t.Fatalf("workers=%d encoded=%d: %v, want %v", tc.workers, tc.enc, res.Rows, want.Rows)
+		}
+	}
+}
+
 // TestExplainAnalyzeEncodedGolden pins the EXPLAIN ANALYZE rendering of
 // the encoded routines (routine=rle-sum, routine=dict-filter,
 // token-direct) and of the decoded fallback. Regenerate with

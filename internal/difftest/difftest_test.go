@@ -175,6 +175,10 @@ func TestDifferentialEncoded(t *testing.T) {
 	if rep.EncodedHits == 0 {
 		t.Fatal("no variant query used an encoded routine; the sweep exercised nothing")
 	}
-	t.Logf("%d queries, %d comparisons, %d encoded-routine hits, %d mismatches",
-		rep.Queries, rep.Comparisons, rep.EncodedHits, len(rep.Mismatches))
+	if rep.StringKeyDirect == 0 || rep.CompositeKeyDirect == 0 {
+		t.Fatalf("token-direct grouping ran on %d string-keyed and %d composite-keyed variant queries; the sweep must exercise both",
+			rep.StringKeyDirect, rep.CompositeKeyDirect)
+	}
+	t.Logf("%d queries, %d comparisons, %d encoded-routine hits (token-direct: %d string-keyed, %d composite-keyed), %d mismatches",
+		rep.Queries, rep.Comparisons, rep.EncodedHits, rep.StringKeyDirect, rep.CompositeKeyDirect, len(rep.Mismatches))
 }

@@ -25,11 +25,47 @@ type EncodedReport struct {
 	// reported an encoded routine. Zero means the sweep never exercised
 	// compressed execution and proves nothing.
 	EncodedHits int
+	// StringKeyDirect and CompositeKeyDirect count variant queries whose
+	// aggregate ran token-direct over one string key and over two or
+	// more keys.
+	StringKeyDirect, CompositeKeyDirect int
 }
 
 // encodedRoutines are the routine substrings that mark compressed
 // execution at work in an operator's stats.
 var encodedRoutines = []string{"dict-filter", "rle-", "token-direct", "(runs)"}
+
+// groupKeys returns the GROUP BY column names of a generated query.
+func groupKeys(sql string) []string {
+	_, keys, ok := strings.Cut(sql, " GROUP BY ")
+	if !ok {
+		return nil
+	}
+	keys, _, _ = strings.Cut(keys, " ORDER BY ")
+	return strings.Split(keys, ", ")
+}
+
+// isStringCol reports whether name is a string column of the generator's
+// grouping pools.
+func isStringCol(name string) bool {
+	for _, pool := range [][]colDef{lineitemGroupCols, flightsGroupCols, joinGroupCols} {
+		for _, c := range pool {
+			if c.name == name {
+				return c.kind == 's'
+			}
+		}
+	}
+	return false
+}
+
+func ranTokenDirect(res *tde.Result) bool {
+	for _, op := range res.Stats().Operators {
+		if strings.Contains(op.Kind, "Aggregate") && strings.Contains(op.Routine, "token-direct") {
+			return true
+		}
+	}
+	return false
+}
 
 func usedEncodedRoutine(res *tde.Result) bool {
 	for _, op := range res.Stats().Operators {
@@ -86,6 +122,7 @@ func RunEncoded(db *tde.Database, cfg Config) (*EncodedReport, error) {
 			return rep, fmt.Errorf("difftest: decoded oracle failed: %w\n  query: %s", err, sql)
 		}
 		want := canonicalRows(oracle.Rows)
+		keys := groupKeys(sql)
 		for _, w := range cfg.Workers {
 			for _, scanOnly := range []bool{false, true} {
 				opt := plan.Options{
@@ -107,6 +144,14 @@ func RunEncoded(db *tde.Database, cfg Config) (*EncodedReport, error) {
 				}
 				if usedEncodedRoutine(got) {
 					rep.EncodedHits++
+				}
+				if ranTokenDirect(got) {
+					switch {
+					case len(keys) > 1:
+						rep.CompositeKeyDirect++
+					case len(keys) == 1 && isStringCol(keys[0]):
+						rep.StringKeyDirect++
+					}
 				}
 				if got.Stats().Spilled() {
 					rep.Spilled++

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -51,32 +52,186 @@ const (
 	AggAuto AggMode = iota
 	// AggHash uses a chained hash table keyed on the group tuple.
 	AggHash
-	// AggDirect indexes groups directly in an array over the key's
-	// [min,max] envelope — the perfect/direct hashing of Sect. 2.3.4,
-	// available when the key is narrow or its range is known small.
+	// AggDirect indexes groups in a dense array over the keys' composite
+	// domain — the perfect/direct hashing of Sect. 2.3.4, generalised to
+	// any key tuple whose domains are small: a small-range integer by
+	// v − min, a dictionary column by its token, a string column by the
+	// dense id its interning memo assigns (keyDomains). It reports the
+	// routine "token-direct" when any key is token-addressed — GROUP BY
+	// the compressed code, no hashing and no value decode (compressed
+	// execution, DESIGN.md §12) — and "direct" otherwise.
 	AggDirect
 	// AggOrdered exploits grouped (sorted) input: one running group at a
 	// time, flushed on key change — the ordered ("sandwiched")
 	// aggregation of Sect. 4.2.2.
 	AggOrdered
-	// AggTokenDirect indexes groups by dictionary token in a dense array
-	// sized to the dictionary plus one NULL slot — GROUP BY the compressed
-	// code with no hashing and no token decode, available when the key is
-	// dictionary-compressed with a domain ≤ tokenDirectLimit (compressed
-	// execution, DESIGN.md §12).
-	AggTokenDirect
 )
 
 func (m AggMode) String() string {
-	return [...]string{"auto", "hash", "direct", "ordered", "token-direct"}[m]
+	return [...]string{"auto", "hash", "direct", "ordered"}[m]
 }
 
-// directLimit caps the envelope size for AggDirect: the 64K-element direct
-// lookup table of Sect. 2.3.4.
+// directLimit caps the direct table for integer keys: the 64K-element
+// direct lookup table of Sect. 2.3.4.
 const directLimit = 1 << 16
 
-// tokenDirectLimit caps the dictionary size for AggTokenDirect.
+// tokenDirectLimit caps the direct table once any key is token-addressed,
+// and the source heaps the interning memo covers.
 const tokenDirectLimit = 1 << 15
+
+// keyDomain maps one group-key column onto dense ids [0, span) for the
+// direct mode, plus the NULL slot span when the column can hold NULL.
+// Integers map by v − min, dictionary columns by their token, string
+// columns by the id internStrings wrote into ids.
+type keyDomain struct {
+	col     int
+	min     uint64
+	span    uint64
+	null    uint64 // the value that marks NULL in this key's data
+	hasNull bool
+	stride  uint64
+	ids     []uint64 // string keys: the current block's dense ids
+}
+
+// id returns row i's dense id; false when the value lies outside the
+// planned domain (stale metadata, or a foreign heap bringing more
+// strings than the schema heap holds).
+func (d *keyDomain) id(b *vec.Block, i int) (uint64, bool) {
+	v := b.Vecs[d.col].Data[i]
+	if d.ids != nil {
+		v = d.ids[i]
+	}
+	if v == d.null {
+		return d.span, d.hasNull
+	}
+	v -= d.min
+	return v, v < d.span
+}
+
+// keyDomains plans the direct mode's composite slot Σ id·stride over
+// keyCols. It returns the table size, or 0 when some key has no small
+// domain or the product of the bounds passes the limit — directLimit
+// for integer keys, tokenDirectLimit once any key is token-addressed
+// (tokens). With encoded execution off, dictionary and string keys have
+// no domain, so they stay on hash and the decoded oracle runs a
+// different path.
+func keyDomains(in []ColInfo, keyCols []int, encodedOff bool) (doms []keyDomain, size int, tokens bool) {
+	if len(keyCols) == 0 {
+		return nil, 0, false
+	}
+	n := uint64(1)
+	for _, kc := range keyCols {
+		ci := &in[kc]
+		md := ci.Meta
+		d := keyDomain{col: kc, null: types.NullToken, hasNull: true, stride: n}
+		switch {
+		case ci.Dict != nil && !encodedOff:
+			d.span, tokens = uint64(len(ci.Dict)), true
+		case ci.Type == types.String && ci.Heap != nil && !encodedOff:
+			d.span, tokens = uint64(ci.Heap.Len()), true
+		case ci.Dict == nil && ci.Type != types.String && ci.Type != types.Real && md.HasRange &&
+			md.Max-md.Min >= 0 && md.Max-md.Min < directLimit:
+			d.min, d.span = uint64(md.Min), uint64(md.Max-md.Min)+1
+			d.null, d.hasNull = types.NullBits(ci.Type), md.HasNulls
+		default:
+			return nil, 0, false
+		}
+		bound := d.span
+		if d.hasNull {
+			bound++
+		}
+		if n *= bound; n > directLimit {
+			return nil, 0, false
+		}
+		doms = append(doms, d)
+	}
+	if tokens && n > tokenDirectLimit {
+		return nil, 0, false
+	}
+	return doms, int(n), tokens
+}
+
+// chooseAggMode is the tactical decision Aggregate and ParallelAggregate
+// share: a forced mode wins, else ordered beats direct beats hash when
+// applicable. Only a serial caller may pick ordered — a morsel split
+// breaks sorted runs apart — while the key domains behind the direct
+// mode are column-wide and survive the split.
+func chooseAggMode(in []ColInfo, keyCols []int, forced AggMode, encodedOff, serial bool) AggMode {
+	if forced != AggAuto {
+		return forced
+	}
+	if serial && len(keyCols) == 1 {
+		if md := in[keyCols[0]].Meta; md.SortedKnown && md.SortedAsc {
+			return AggOrdered
+		}
+	}
+	if _, size, _ := keyDomains(in, keyCols, encodedOff); size > 0 {
+		return AggDirect
+	}
+	return AggHash
+}
+
+// colMemo is one string column's interning memo: per source heap, each
+// source token's aggregation-heap token and dense id, so the column is
+// interned once per distinct token instead of once per row, with no
+// string allocated per row. Entries sit in a dense slice indexed by
+// token>>2 (a token is an element's byte offset, and elements lie at
+// least 4 bytes apart). It covers two heaps, the column's schema heap and
+// the last other heap a block carried (a DeltaScan's insert heap, a
+// computed column's per-block heap), whose slice is reused.
+type colMemo struct {
+	src  [2]*heap.Heap
+	toks [2][]memoEntry
+	ids  map[uint64]uint64 // aggregation token -> dense id, first seen first
+}
+
+// memoEntry is a source token's aggregation token and dense id; an
+// unfilled entry holds the NULL token, which no string interns to.
+type memoEntry struct{ tok, id uint64 }
+
+func newColMemo(schema *heap.Heap) *colMemo {
+	m := &colMemo{ids: make(map[uint64]uint64)}
+	m.src[0] = schema
+	return m
+}
+
+// forHeap returns h's memo entries, or nil when h is past the memo's
+// bound: near-unique columns keep the per-row path.
+func (m *colMemo) forHeap(h *heap.Heap) []memoEntry {
+	if m == nil || h == nil || h.Size()>>2 > tokenDirectLimit {
+		return nil
+	}
+	slot := 0
+	if h != m.src[0] {
+		slot = 1
+		if h != m.src[1] {
+			m.src[1], m.toks[1] = h, m.toks[1][:0]
+		}
+	}
+	if n := h.Size()>>2 + 1; len(m.toks[slot]) < n {
+		// First sight of h, or h grew: (re)size, marking every entry unfilled.
+		t := slices.Grow(m.toks[slot][:0], n)[:n]
+		for i := range t {
+			t[i].tok = types.NullToken
+		}
+		m.toks[slot] = t
+	}
+	return m.toks[slot]
+}
+
+// id returns aggregation token tok's dense id, assigning the next one on
+// first sight; NULL keeps the NULL token.
+func (m *colMemo) id(tok uint64) uint64 {
+	if tok == types.NullToken {
+		return tok
+	}
+	id, ok := m.ids[tok]
+	if !ok {
+		id = uint64(len(m.ids))
+		m.ids[tok] = id
+	}
+	return id
+}
 
 type group struct {
 	keys []uint64
@@ -108,12 +263,13 @@ type aggCore struct {
 	specs   []AggSpec
 	chosen  AggMode
 	opName  string
+	qc      *QueryCtx
 
 	groups    []*group
 	lookup    map[uint64][]int // hash -> candidate group indexes (AggHash)
-	direct    []int            // envelope -> group index +1 (AggDirect / AggTokenDirect)
-	dmin      int64
-	tokenDict []uint64 // the key's dictionary (AggTokenDirect)
+	direct    []int            // composite slot -> group index +1 (AggDirect)
+	doms      []keyDomain      // the direct mode's key domains
+	tokenKeys bool             // some key is token-addressed ("token-direct")
 
 	// runBlocks counts input blocks folded run-at-a-time instead of
 	// row-at-a-time — the rle-sum/rle-count routines of compressed
@@ -128,8 +284,12 @@ type aggCore struct {
 	// String columns that participate in grouping or MIN/MAX/COUNTD are
 	// re-interned into one heap per column so tokens stay comparable
 	// across blocks (computed string columns carry per-block heaps).
+	// memos (nil with encoded execution off) make that once per distinct
+	// source token; keyIDs holds a direct-mode string key's block ids.
 	strHeaps []*heap.Heap
 	strAccs  []*heap.Accelerator
+	memos    []*colMemo
+	keyIDs   [][]uint64
 
 	// budget cost model
 	groupCost    int
@@ -140,35 +300,42 @@ type aggCore struct {
 }
 
 // newAggCore sets up the grouping state for the chosen mode; the direct
-// table (the one up-front allocation) is charged against qc.
-func newAggCore(in []ColInfo, keyCols []int, specs []AggSpec, chosen AggMode, opName string, qc *QueryCtx) (*aggCore, error) {
-	c := &aggCore{in: in, keyCols: keyCols, specs: specs, chosen: chosen, opName: opName}
-	switch chosen {
+// table (the one up-front allocation) is charged against qc. A direct
+// choice whose keys have no domain (a forced mode) falls back to hash.
+func newAggCore(in []ColInfo, keyCols []int, specs []AggSpec, chosen AggMode, encodedOff bool, opName string, qc *QueryCtx) (*aggCore, error) {
+	c := &aggCore{in: in, keyCols: keyCols, specs: specs, chosen: chosen, opName: opName, qc: qc}
+	c.strHeaps = make([]*heap.Heap, len(in))
+	c.strAccs = make([]*heap.Accelerator, len(in))
+	c.memos = make([]*colMemo, len(in))
+	c.keyIDs = make([][]uint64, len(in))
+	if chosen == AggDirect {
+		doms, size, tokens := keyDomains(in, keyCols, encodedOff)
+		if size == 0 {
+			c.chosen = AggHash
+		} else {
+			if err := qc.Charge(opName, size*8); err != nil {
+				return nil, err
+			}
+			c.charged += size * 8
+			c.directCharge = c.charged
+			c.direct = make([]int, size)
+			c.doms, c.tokenKeys = doms, tokens
+			for k := range c.doms {
+				if col := c.doms[k].col; in[col].Type == types.String {
+					if c.keyIDs[col] == nil {
+						c.keyIDs[col] = make([]uint64, vec.BlockSize)
+					}
+					c.doms[k].ids = c.keyIDs[col]
+				}
+			}
+		}
+	}
+	switch c.chosen {
 	case AggHash:
 		c.lookup = make(map[uint64][]int)
-	case AggDirect:
-		md := in[keyCols[0]].Meta
-		c.dmin = md.Min
-		if err := qc.Charge(opName, int(md.Max-md.Min+1)*8); err != nil {
-			return nil, err
-		}
-		c.charged += int(md.Max-md.Min+1) * 8
-		c.directCharge = c.charged
-		c.direct = make([]int, md.Max-md.Min+1)
-	case AggTokenDirect:
-		c.tokenDict = in[keyCols[0]].Dict
-		n := len(c.tokenDict) + 1 // the last slot is the NULL token's
-		if err := qc.Charge(opName, n*8); err != nil {
-			return nil, err
-		}
-		c.charged += n * 8
-		c.directCharge = c.charged
-		c.direct = make([]int, n)
 	case AggOrdered:
 		c.curKeys = make([]uint64, len(keyCols))
 	}
-	c.strHeaps = make([]*heap.Heap, len(in))
-	c.strAccs = make([]*heap.Accelerator, len(in))
 	needsHeap := map[int]bool{}
 	for _, kc := range keyCols {
 		if in[kc].Type == types.String {
@@ -187,6 +354,9 @@ func newAggCore(in []ColInfo, keyCols []int, specs []AggSpec, chosen AggMode, op
 		}
 		c.strHeaps[col] = heap.New(coll)
 		c.strAccs[col] = heap.NewAccelerator(c.strHeaps[col], 0)
+		if !encodedOff {
+			c.memos[col] = newColMemo(in[col].Heap)
+		}
 	}
 	// Per-group hash-table footprint: keys, accumulators, bookkeeping.
 	c.groupCost = 64 + 16*(len(keyCols)+len(specs))
@@ -200,43 +370,98 @@ func newAggCore(in []ColInfo, keyCols []int, specs []AggSpec, chosen AggMode, op
 
 // internStrings rewrites string tokens in place (the block is owned by
 // the caller's read loop) into the per-column aggregation heaps, making
-// tokens comparable across blocks and collation-aware.
+// tokens comparable across blocks and collation-aware. A direct-mode
+// string key also gets each row's dense id in keyIDs.
 func (c *aggCore) internStrings(b *vec.Block) {
 	for col, acc := range c.strAccs {
 		if acc == nil {
 			continue
 		}
 		v := &b.Vecs[col]
-		for i := 0; i < b.N; i++ {
-			tok := v.Data[i]
-			if tok == types.NullToken {
-				continue
+		m, ids := c.memos[col], c.keyIDs[col]
+		memo := m.forHeap(v.Heap)
+		for i, src := range v.Data[:b.N] {
+			var e memoEntry
+			if j := src >> 2; j < uint64(len(memo)) && memo[j].tok != types.NullToken {
+				e = memo[j]
+			} else if src != types.NullToken {
+				e.tok = acc.Intern(v.Heap.Get(src))
+				if ids != nil {
+					e.id = m.id(e.tok)
+				}
+				if j < uint64(len(memo)) {
+					memo[j] = e
+				}
+			} else {
+				e = memoEntry{types.NullToken, types.NullToken}
 			}
-			v.Data[i] = acc.Intern(v.Heap.Get(tok))
+			v.Data[i] = e.tok
+			if ids != nil {
+				ids[i] = e.id
+			}
 		}
 		v.Heap = c.strHeaps[col]
 	}
 }
 
-// consumeBlock groups one block (whose string columns internStrings has
-// already rewritten) and charges the growth against the budget.
+// freshHeaps replaces the aggregation heaps once a spill has moved their
+// groups out, rebuilding the memos with them: tokens and ids minted
+// against the old heaps must not survive the reset.
+func (c *aggCore) freshHeaps() {
+	for col, h := range c.strHeaps {
+		if h == nil {
+			continue
+		}
+		c.strHeaps[col] = heap.New(h.Collation())
+		c.strAccs[col] = heap.NewAccelerator(c.strHeaps[col], 0)
+		if c.memos[col] != nil {
+			c.memos[col] = newColMemo(c.in[col].Heap)
+		}
+	}
+}
+
+// toHash moves the direct mode to hash for the rest of the input,
+// indexing the groups built so far. The direct table's charge is
+// returned.
+func (c *aggCore) toHash() {
+	c.lookup = make(map[uint64][]int, len(c.groups))
+	for gi, g := range c.groups {
+		h := hashKeys(g.keys)
+		c.lookup[h] = append(c.lookup[h], gi)
+	}
+	c.chosen = AggHash
+	c.direct, c.doms = nil, nil
+	for col := range c.keyIDs {
+		c.keyIDs[col] = nil
+	}
+	c.qc.Release(c.directCharge)
+	c.charged -= c.directCharge
+	c.directCharge = 0
+}
+
+// modeName is the grouping routine as reported: "token-direct" for the
+// direct mode over a token-addressed key.
+func (c *aggCore) modeName() string {
+	if c.chosen == AggDirect && c.tokenKeys {
+		return "token-direct"
+	}
+	return c.chosen.String()
+}
+
+// consumeBlock interns b's strings, groups it and charges the growth
+// against the budget.
 func (c *aggCore) consumeBlock(qc *QueryCtx, b *vec.Block) error {
+	c.internStrings(b)
 	before := len(c.groups)
 	if c.chosen == AggOrdered && c.curSet {
 		before++ // the running group not yet flushed
 	}
 	if c.runCapable(b) {
-		if err := c.consumeRuns(b); err != nil {
-			return err
-		}
+		c.consumeRuns(b)
 	} else {
 		b.Materialize() // late-decode boundary for shapes the run path skips
 		for i := 0; i < b.N; i++ {
-			g, err := c.findGroup(b, i)
-			if err != nil {
-				return err
-			}
-			c.update(g, b, i)
+			c.update(c.findGroup(b, i), b, i)
 		}
 	}
 	after := len(c.groups)
@@ -276,31 +501,22 @@ func (c *aggCore) runCapable(b *vec.Block) bool {
 
 // consumeRuns folds a run-encoded block without expanding it: one group
 // probe and one weighted accumulator update per run instead of per row.
-func (c *aggCore) consumeRuns(b *vec.Block) error {
+func (c *aggCore) consumeRuns(b *vec.Block) {
 	v := &b.Vecs[0]
 	runs := v.Runs
 	c.runBlocks++
 	if len(c.keyCols) == 0 && v.Dict == nil && v.Heap == nil {
 		// Global aggregate over plain scalar runs: the pure kernel folds
 		// (SUM multiplies by run length, COUNT adds it).
-		g, err := c.findGroup(b, 0) // no keys: the single global group
-		if err != nil {
-			return err
-		}
-		c.foldRuns(g, runs, v.Type, b.N)
-		return nil
+		c.foldRuns(c.findGroup(b, 0), runs, v.Type, b.N) // no keys: the single global group
+		return
 	}
 	// Keyed (or dictionary-valued): stage each run's value in row 0 and
 	// reuse the row machinery with the run length as weight.
 	for ri := range runs {
 		v.Data[0] = runs[ri].Value
-		g, err := c.findGroup(b, 0)
-		if err != nil {
-			return err
-		}
-		c.updateW(g, b, 0, int64(runs[ri].Count))
+		c.updateW(c.findGroup(b, 0), b, 0, int64(runs[ri].Count))
 	}
-	return nil
 }
 
 // foldRuns applies the enc run kernels to a plain scalar column's runs.
@@ -360,36 +576,26 @@ func (c *aggCore) finish() {
 	}
 }
 
-func (c *aggCore) findGroup(b *vec.Block, i int) (*group, error) {
+func (c *aggCore) findGroup(b *vec.Block, i int) *group {
 	switch c.chosen {
 	case AggDirect:
-		k := int64(b.Vecs[c.keyCols[0]].Data[i]) - c.dmin
-		if k < 0 || k >= int64(len(c.direct)) {
-			// Metadata promised this cannot happen; stored metadata can be
-			// stale or corrupt, so fail the query rather than the process.
-			return nil, fmt.Errorf("exec: direct aggregation key outside [min,max] envelope (corrupt column metadata?)")
-		}
-		if c.direct[k] == 0 {
-			g := c.newGroup(b, i)
-			c.groups = append(c.groups, g)
-			c.direct[k] = len(c.groups)
-		}
-		return c.groups[c.direct[k]-1], nil
-	case AggTokenDirect:
-		tok := b.Vecs[c.keyCols[0]].Data[i]
-		k := len(c.direct) - 1 // the NULL token's slot
-		if tok != types.NullToken {
-			if tok >= uint64(len(c.tokenDict)) {
-				return nil, fmt.Errorf("exec: dictionary token outside the dictionary (corrupt column metadata?)")
+		slot := uint64(0)
+		for k := range c.doms {
+			d := &c.doms[k]
+			id, ok := d.id(b, i)
+			if !ok {
+				// The key left its planned domain: degrade to hash for
+				// the rest of the input rather than give a wrong answer.
+				c.toHash()
+				return c.findGroup(b, i)
 			}
-			k = int(tok)
+			slot += id * d.stride
 		}
-		if c.direct[k] == 0 {
-			g := c.newGroup(b, i)
-			c.groups = append(c.groups, g)
-			c.direct[k] = len(c.groups)
+		if c.direct[slot] == 0 {
+			c.groups = append(c.groups, c.newGroup(b, i))
+			c.direct[slot] = len(c.groups)
 		}
-		return c.groups[c.direct[k]-1], nil
+		return c.groups[c.direct[slot]-1]
 	case AggOrdered:
 		same := c.curSet
 		if same {
@@ -410,12 +616,12 @@ func (c *aggCore) findGroup(b *vec.Block, i int) (*group, error) {
 				c.curKeys[j] = b.Vecs[kc].Data[i]
 			}
 		}
-		return c.cur, nil
+		return c.cur
 	default: // AggHash
-		h := uint64(1469598103934665603)
+		h := uint64(fnvOffset)
 		for _, kc := range c.keyCols {
 			h ^= b.Vecs[kc].Data[i]
-			h *= 1099511628211
+			h *= fnvPrime
 		}
 		for _, gi := range c.lookup[h] {
 			g := c.groups[gi]
@@ -427,14 +633,29 @@ func (c *aggCore) findGroup(b *vec.Block, i int) (*group, error) {
 				}
 			}
 			if match {
-				return g, nil
+				return g
 			}
 		}
 		g := c.newGroup(b, i)
 		c.groups = append(c.groups, g)
 		c.lookup[h] = append(c.lookup[h], len(c.groups)-1)
-		return g, nil
+		return g
 	}
+}
+
+// The hash mode's FNV-1a-style fold over a key tuple.
+const (
+	fnvOffset = 1469598103934665603
+	fnvPrime  = 1099511628211
+)
+
+func hashKeys(keys []uint64) uint64 {
+	h := uint64(fnvOffset)
+	for _, k := range keys {
+		h ^= k
+		h *= fnvPrime
+	}
+	return h
 }
 
 func (c *aggCore) newGroup(b *vec.Block, i int) *group {
@@ -453,11 +674,7 @@ func (c *aggCore) newGroup(b *vec.Block, i int) *group {
 // findGroupKeys is findGroup's hash-mode twin for the merge stage, keyed
 // on an explicit key tuple instead of a block row.
 func (c *aggCore) findGroupKeys(keys []uint64) *group {
-	h := uint64(1469598103934665603)
-	for _, k := range keys {
-		h ^= k
-		h *= 1099511628211
-	}
+	h := hashKeys(keys)
 	for _, gi := range c.lookup[h] {
 		g := c.groups[gi]
 		match := true
@@ -552,9 +769,13 @@ func (c *aggCore) remapToken(o *aggCore, col int, tok uint64) uint64 {
 // mergeFrom folds another core's partial groups into c — the merge stage
 // of parallel aggregation. Both cores were fed disjoint morsels of the
 // same input, so accumulators combine associatively; string tokens are
-// re-interned from o's heaps into c's.
+// re-interned from o's heaps into c's. The merge runs on hash: a direct
+// core indexes its groups first.
 func (c *aggCore) mergeFrom(o *aggCore, qc *QueryCtx) error {
 	o.finish()
+	if c.chosen == AggDirect {
+		c.toHash()
+	}
 	before := len(c.groups)
 	keys := make([]uint64, len(c.keyCols))
 	for _, g := range o.groups {
@@ -699,12 +920,14 @@ type Aggregate struct {
 	schema  []ColInfo
 
 	// EncodedOff, set by the planner when encoded execution is disabled,
-	// keeps the mode choice off the token-direct routine.
+	// keeps dictionary and string keys off the direct mode (token-direct)
+	// and string interning on the per-row path.
 	EncodedOff bool
 
 	core      *aggCore
 	emitAt    int
-	runBlocks int // blocks folded run-at-a-time (for the routine string)
+	modeName  string // the grouping routine, as the core reported it
+	runBlocks int    // blocks folded run-at-a-time (for the routine string)
 
 	// spill-to-disk degradation state
 	qc    *QueryCtx
@@ -768,7 +991,7 @@ func (a *Aggregate) Mode() AggMode { return a.chosen }
 // rle-* encoded-routine names when any input block was folded
 // run-at-a-time (e.g. "rle-sum", or "rle-agg+token-direct" when grouped).
 func (a *Aggregate) routine() string {
-	name := a.chosen.String()
+	name := a.modeName
 	if a.runBlocks == 0 {
 		return name
 	}
@@ -787,30 +1010,6 @@ func (a *Aggregate) OpKind() string { return "Aggregate" }
 
 // OpChildren implements Instrumented.
 func (a *Aggregate) OpChildren() []Operator { return []Operator{a.child} }
-
-// chooseMode is the tactical decision: ordered beats direct beats hash
-// when applicable.
-func (a *Aggregate) chooseMode() AggMode {
-	if a.mode != AggAuto {
-		return a.mode
-	}
-	in := a.child.Schema()
-	if len(a.keyCols) == 1 {
-		md := in[a.keyCols[0]].Meta
-		if md.SortedKnown && md.SortedAsc {
-			return AggOrdered
-		}
-		if d := in[a.keyCols[0]].Dict; !a.EncodedOff && d != nil && len(d) <= tokenDirectLimit {
-			return AggTokenDirect
-		}
-		if md.HasRange && !md.HasNulls {
-			if span := md.Max - md.Min; span >= 0 && span < directLimit {
-				return AggDirect
-			}
-		}
-	}
-	return AggHash
-}
 
 // Open implements Operator: stop-and-go, so all grouping happens here.
 // When a charge is denied and a spill budget is set, the operator
@@ -834,21 +1033,22 @@ func (a *Aggregate) Open(qc *QueryCtx) (err error) {
 		return err
 	}
 	defer a.child.Close()
-	a.chosen = a.chooseMode()
-	core, err := newAggCore(a.child.Schema(), a.keyCols, a.specs, a.chosen, "Aggregate", qc)
+	in := a.child.Schema()
+	a.chosen = chooseAggMode(in, a.keyCols, a.mode, a.EncodedOff, true)
+	core, err := newAggCore(in, a.keyCols, a.specs, a.chosen, a.EncodedOff, "Aggregate", qc)
 	if err != nil {
-		if (a.chosen != AggDirect && a.chosen != AggTokenDirect) || !spillableErr(qc, err) {
+		if a.chosen != AggDirect || !spillableErr(qc, err) {
 			return err
 		}
 		// The direct table alone blows the budget: fall back to hash
 		// mode, which can evict.
-		a.chosen = AggHash
-		if core, err = newAggCore(a.child.Schema(), a.keyCols, a.specs, AggHash, "Aggregate", qc); err != nil {
+		if core, err = newAggCore(in, a.keyCols, a.specs, AggHash, a.EncodedOff, "Aggregate", qc); err != nil {
 			return err
 		}
 	}
 	a.core = core
-	b := vec.NewBlock(len(a.child.Schema()))
+	a.chosen, a.modeName = core.chosen, core.modeName()
+	b := vec.NewBlock(len(in))
 	for {
 		ok, err := a.child.Next(b)
 		if err != nil {
@@ -857,21 +1057,20 @@ func (a *Aggregate) Open(qc *QueryCtx) (err error) {
 		if !ok {
 			break
 		}
-		core.internStrings(b)
 		if cerr := core.consumeBlock(qc, b); cerr != nil {
 			if !spillableErr(qc, cerr) {
 				return cerr
 			}
 			if a.chosen == AggOrdered {
 				if a.spool == nil {
-					a.spool = newOrderedSpool(qc, "Aggregate", &a.st.Spill, a.child.Schema(), a.keyCols, a.specs, a.schema)
+					a.spool = newOrderedSpool(qc, "Aggregate", &a.st.Spill, in, a.keyCols, a.specs, a.schema)
 				}
 				if serr := a.spool.spool(core); serr != nil {
 					return serr
 				}
 			} else {
 				if a.sp == nil {
-					a.sp = newAggSpill(qc, "Aggregate", &a.st.Spill, a.child.Schema(), a.keyCols, a.specs)
+					a.sp = newAggSpill(qc, "Aggregate", &a.st.Spill, in, a.keyCols, a.specs)
 				}
 				if serr := a.sp.evict(core); serr != nil {
 					return serr
@@ -881,6 +1080,7 @@ func (a *Aggregate) Open(qc *QueryCtx) (err error) {
 	}
 	core.finish()
 	a.runBlocks = core.runBlocks
+	a.chosen, a.modeName = core.chosen, core.modeName() // hash if the direct mode degraded
 	if a.sp != nil && a.sp.spilled {
 		work, err := a.sp.finishConsume(core)
 		if err != nil {

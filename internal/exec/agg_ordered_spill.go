@@ -177,18 +177,13 @@ func (o *orderedSpool) close() {
 }
 
 // resetOrderedAfterSpool drops the spooled groups, re-interns the running
-// group's string tokens into fresh heaps, and re-charges just the
-// retained state.
+// group's string tokens into fresh heaps (with fresh memos), and
+// re-charges just the retained state.
 func (c *aggCore) resetOrderedAfterSpool(qc *QueryCtx) error {
 	old := make([]*heap.Heap, len(c.strHeaps))
 	copy(old, c.strHeaps)
 	c.groups = nil
-	for col, h := range old {
-		if h != nil {
-			c.strHeaps[col] = heap.New(h.Collation())
-			c.strAccs[col] = heap.NewAccelerator(c.strHeaps[col], 0)
-		}
-	}
+	c.freshHeaps()
 	retained := 0
 	if c.curSet {
 		for j, kc := range c.keyCols {

@@ -530,7 +530,7 @@ func (sp *aggSpill) cleanup() {
 
 // resetAfterEvict drops the group state after its groups were spilled,
 // keeping the direct table (still allocated and charged) and minting
-// fresh string heaps.
+// fresh string heaps and memos.
 func (c *aggCore) resetAfterEvict(qc *QueryCtx) {
 	c.groups = nil
 	if c.lookup != nil {
@@ -539,12 +539,7 @@ func (c *aggCore) resetAfterEvict(qc *QueryCtx) {
 	for i := range c.direct {
 		c.direct[i] = 0
 	}
-	for col, h := range c.strHeaps {
-		if h != nil {
-			c.strHeaps[col] = heap.New(h.Collation())
-			c.strAccs[col] = heap.NewAccelerator(c.strHeaps[col], 0)
-		}
-	}
+	c.freshHeaps()
 	c.heapBytes = 0
 	qc.Release(c.charged - c.directCharge)
 	c.charged = c.directCharge
@@ -599,7 +594,7 @@ func (e *aggSpillEmitter) next(b *vec.Block) (bool, error) {
 // or degrades to the merge fallback.
 func (e *aggSpillEmitter) foldPartition(p aggPartition) error {
 	sp := e.sp
-	core, err := newAggCore(sp.in, sp.keyCols, sp.aspecs, AggHash, sp.op, sp.qc)
+	core, err := newAggCore(sp.in, sp.keyCols, sp.aspecs, AggHash, false, sp.op, sp.qc)
 	if err != nil {
 		return err
 	}
@@ -923,7 +918,7 @@ const mergeGroupCap = 256
 // groups and emits them as one block.
 func (m *aggMergeEmit) next(b *vec.Block) (bool, error) {
 	sp := m.sp
-	core, err := newAggCore(sp.in, sp.keyCols, sp.aspecs, AggHash, sp.op, sp.qc)
+	core, err := newAggCore(sp.in, sp.keyCols, sp.aspecs, AggHash, false, sp.op, sp.qc)
 	if err != nil {
 		return false, err
 	}
@@ -961,7 +956,21 @@ func (m *aggMergeEmit) next(b *vec.Block) (bool, error) {
 			keys, m.spools)
 		folded++
 		if err := cur.advance(); err != nil {
-			return fail(err)
+			if !spillableErr(sp.qc, err) {
+				return fail(err)
+			}
+			// The cursor's next chunk does not fit beside the values the
+			// spools buffer: spill those and load the chunk again.
+			for _, v := range m.spools {
+				if v != nil {
+					if err := v.flush(); err != nil {
+						return fail(err)
+					}
+				}
+			}
+			if err := cur.load(); err != nil {
+				return fail(err)
+			}
 		}
 		if cur.done {
 			cur.close(true)

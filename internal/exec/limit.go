@@ -117,35 +117,36 @@ func (t *TopN) OpLabel() string { return strconv.Itoa(t.n) }
 // OpChildren implements Instrumented.
 func (t *TopN) OpChildren() []Operator { return []Operator{t.child} }
 
+// topRow is one retained row: its values, and the strings of its string
+// columns resolved from their heaps.
+type topRow struct {
+	vals []uint64
+	strs []string
+}
+
 // rowHeap is a max-heap of retained rows ordered by the sort keys, so the
 // root is the worst retained row, evicted when something better arrives.
 type rowHeap struct {
-	rows [][]uint64
-	strs [][]string // parallel string values for string columns
-	less func(a, b int) bool
+	rows []topRow
+	less func(a, b *topRow) bool
 }
 
 func (h *rowHeap) Len() int { return len(h.rows) }
 func (h *rowHeap) Less(a, b int) bool {
-	return h.less(b, a) // inverted: max-heap
+	return h.less(&h.rows[b], &h.rows[a]) // inverted: max-heap
 }
-func (h *rowHeap) Swap(a, b int) {
-	h.rows[a], h.rows[b] = h.rows[b], h.rows[a]
-	h.strs[a], h.strs[b] = h.strs[b], h.strs[a]
-}
-func (h *rowHeap) Push(x any) {
-	pair := x.([2]any)
-	h.rows = append(h.rows, pair[0].([]uint64))
-	h.strs = append(h.strs, pair[1].([]string))
-}
+func (h *rowHeap) Swap(a, b int) { h.rows[a], h.rows[b] = h.rows[b], h.rows[a] }
+func (h *rowHeap) Push(x any)    { h.rows = append(h.rows, x.(topRow)) }
 func (h *rowHeap) Pop() any {
 	n := len(h.rows) - 1
-	r, s := h.rows[n], h.strs[n]
-	h.rows, h.strs = h.rows[:n], h.strs[:n]
-	return [2]any{r, s}
+	r := h.rows[n]
+	h.rows = h.rows[:n]
+	return r
 }
 
-// Open implements Operator: consume everything, retaining n rows.
+// Open implements Operator: consume everything, retaining n rows. Once n
+// rows are held, each input row is first compared with the root through
+// a reused scratch row, and copied only when it enters.
 func (t *TopN) Open(qc *QueryCtx) (err error) {
 	start := t.beginOpen(qc, "TopN")
 	defer t.endOpen(start)
@@ -165,12 +166,18 @@ func (t *TopN) Open(qc *QueryCtx) (err error) {
 	for c, info := range t.schema {
 		strCols[c] = info.Type == types.String
 	}
-	h := &rowHeap{}
-	h.less = func(a, b int) bool { return t.rowLess(h, a, b) }
+	h := &rowHeap{less: t.rowLess}
 	t.rows = h
 
 	retained := 0
+	scratch := topRow{vals: make([]uint64, nc), strs: make([]string, nc)}
 	b := vec.NewBlock(nc)
+	// resolve fills r.strs[c] from row i of b (string columns only).
+	resolve := func(r *topRow, c, i int) {
+		if strCols[c] && r.vals[c] != types.NullToken {
+			r.strs[c] = b.Vecs[c].Heap.Get(r.vals[c])
+		}
+	}
 	for {
 		ok, err := t.child.Next(b)
 		if err != nil {
@@ -180,19 +187,31 @@ func (t *TopN) Open(qc *QueryCtx) (err error) {
 			break
 		}
 		b.Materialize() // late-decode boundary: the heap keeps plain rows
-		for i := 0; i < b.N; i++ {
-			row := make([]uint64, nc)
-			strs := make([]string, nc)
+		for i := 0; i < b.N && t.n > 0; i++ {
 			for c := 0; c < nc; c++ {
-				row[c] = b.Vecs[c].Data[i]
-				if strCols[c] && row[c] != types.NullToken {
-					strs[c] = b.Vecs[c].Heap.Get(row[c])
+				scratch.vals[c] = b.Vecs[c].Data[i]
+			}
+			if h.Len() < t.n {
+				r := topRow{vals: append([]uint64(nil), scratch.vals...), strs: make([]string, nc)}
+				for c := 0; c < nc; c++ {
+					resolve(&r, c, i)
 				}
+				heap.Push(h, r)
+				continue
 			}
-			heap.Push(h, [2]any{row, strs})
-			if h.Len() > t.n {
-				heap.Pop(h)
+			for _, k := range t.keys {
+				resolve(&scratch, k.Col, i)
 			}
+			if !t.rowLess(&scratch, &h.rows[0]) {
+				continue // no better than the worst retained row
+			}
+			root := &h.rows[0]
+			copy(root.vals, scratch.vals)
+			for c := 0; c < nc; c++ {
+				root.strs[c] = ""
+				resolve(root, c, i)
+			}
+			heap.Fix(h, 0)
 		}
 		// The retained set is bounded by n rows; charge only its growth.
 		if h.Len() > retained {
@@ -208,9 +227,8 @@ func (t *TopN) Open(qc *QueryCtx) (err error) {
 	out := make([][]uint64, h.Len())
 	strs := make([][]string, h.Len())
 	for i := h.Len() - 1; i >= 0; i-- {
-		pair := heap.Pop(h).([2]any)
-		out[i] = pair[0].([]uint64)
-		strs[i] = pair[1].([]string)
+		r := heap.Pop(h).(topRow)
+		out[i], strs[i] = r.vals, r.strs
 	}
 	t.sorted = out
 	// Rebuild per-column heaps for the retained strings.
@@ -240,10 +258,10 @@ func (t *TopN) outHeaps(strs [][]string, strCols []bool) {
 	}
 }
 
-// rowLess orders two retained rows by the sort keys (NULL first).
-func (t *TopN) rowLess(h *rowHeap, a, b int) bool {
+// rowLess orders two rows by the sort keys (NULL first).
+func (t *TopN) rowLess(a, b *topRow) bool {
 	for _, k := range t.keys {
-		c := t.compareRows(h, k.Col, a, b)
+		c := t.compareRows(k.Col, a, b)
 		if c == 0 {
 			continue
 		}
@@ -255,9 +273,9 @@ func (t *TopN) rowLess(h *rowHeap, a, b int) bool {
 	return false
 }
 
-func (t *TopN) compareRows(h *rowHeap, col, a, b int) int {
-	info := t.schema[col]
-	va, vb := h.rows[a][col], h.rows[b][col]
+func (t *TopN) compareRows(col int, a, b *topRow) int {
+	info := &t.schema[col]
+	va, vb := a.vals[col], b.vals[col]
 	if info.Type == types.String {
 		an, bn := va == types.NullToken, vb == types.NullToken
 		switch {
@@ -272,7 +290,7 @@ func (t *TopN) compareRows(h *rowHeap, col, a, b int) int {
 		if info.Heap != nil {
 			coll = info.Heap.Collation()
 		}
-		return coll.Compare(h.strs[a][col], h.strs[b][col])
+		return coll.Compare(a.strs[col], b.strs[col])
 	}
 	resolve := func(v uint64) uint64 {
 		if info.Dict != nil && v != types.NullToken {

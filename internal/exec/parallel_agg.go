@@ -9,16 +9,17 @@ import (
 
 // ParallelAggregate is the morsel-parallel grouping operator: N workers
 // pull blocks from the shared child (the morsel dispenser), each folding
-// its morsels into a private hash-mode aggCore, and Open merges the
-// partials into one result — Exchange → PartialAgg → MergeAgg collapsed
-// into a single stop-and-go operator. The workers share the query's
-// memory budget through the (atomic) QueryCtx accountant, and each
-// checks cancellation once per block like any serial operator.
+// its morsels into a private aggCore, and Open merges the partials into
+// one result — Exchange → PartialAgg → MergeAgg collapsed into a single
+// stop-and-go operator. The workers share the query's memory budget
+// through the (atomic) QueryCtx accountant, and each checks cancellation
+// once per block like any serial operator.
 //
-// Workers always run hash cores: partial inputs are arbitrary morsel
-// subsets, so the sortedness/envelope preconditions of the ordered and
-// direct modes do not survive the split. The strategic planner therefore
-// prefers the serial Aggregate when ordered aggregation applies.
+// Workers run the mode chooseAggMode picks for the serial Aggregate,
+// except ordered: the key domains behind the direct mode are
+// column-wide, so they hold for any morsel subset, but sorted runs do not
+// survive the split. The strategic planner therefore prefers the serial
+// Aggregate when ordered aggregation applies.
 type ParallelAggregate struct {
 	OpInstr
 	child   Operator
@@ -26,6 +27,9 @@ type ParallelAggregate struct {
 	specs   []AggSpec
 	workers int
 	schema  []ColInfo
+
+	// EncodedOff mirrors Aggregate.EncodedOff.
+	EncodedOff bool
 
 	core   *aggCore // merged partials, valid after Open
 	emitAt int
@@ -76,7 +80,6 @@ func (p *ParallelAggregate) NumGroups() int {
 func (p *ParallelAggregate) Open(qc *QueryCtx) (err error) {
 	start := p.beginOpen(qc, "ParallelAggregate")
 	defer p.endOpen(start)
-	p.st.SetRoutine(fmt.Sprintf("hash(workers=%d)", p.workers))
 	p.qc = qc
 	p.emitAt = 0
 	defer func() {
@@ -101,14 +104,38 @@ func (p *ParallelAggregate) Open(qc *QueryCtx) (err error) {
 			}
 		}
 	}
-	for i := range cores {
-		c, err := newAggCore(in, p.keyCols, p.specs, AggHash, "ParallelAggregate", qc)
-		if err != nil {
-			release()
-			return err
+	newCores := func(mode AggMode) error {
+		for i := range cores {
+			c, err := newAggCore(in, p.keyCols, p.specs, mode, p.EncodedOff, "ParallelAggregate", qc)
+			if err != nil {
+				release()
+				clear(cores)
+				return err
+			}
+			cores[i] = c
 		}
-		cores[i] = c
+		return nil
 	}
+	mode := chooseAggMode(in, p.keyCols, AggAuto, p.EncodedOff, false)
+	err = newCores(mode)
+	if err != nil && mode == AggDirect && spillableErr(qc, err) {
+		// The direct tables blow the budget: every worker runs hash,
+		// which can evict.
+		err = newCores(AggHash)
+	}
+	if err != nil {
+		return err
+	}
+	name := func() string {
+		n := cores[0].modeName()
+		for _, c := range cores[1:] {
+			if c.modeName() != n {
+				return AggHash.String() // some worker's direct mode degraded
+			}
+		}
+		return n
+	}
+	p.st.SetRoutine(fmt.Sprintf("%s(workers=%d)", name(), p.workers))
 
 	var (
 		childMu  sync.Mutex // serializes Next on the shared child
@@ -162,7 +189,6 @@ func (p *ParallelAggregate) Open(qc *QueryCtx) (err error) {
 				if !ok {
 					return
 				}
-				core.internStrings(b)
 				if err := core.consumeBlock(qc, b); err != nil {
 					if p.sp != nil && spillableErr(qc, err) {
 						// evict this worker's partial groups and keep
@@ -188,11 +214,13 @@ func (p *ParallelAggregate) Open(qc *QueryCtx) (err error) {
 	for _, c := range cores {
 		runBlocks += c.runBlocks
 	}
+	routine := fmt.Sprintf("%s(workers=%d)", name(), p.workers)
 	if runBlocks > 0 {
 		// Run-encoded blocks survived the exchange into the workers: report
 		// the encoded routine like the serial Aggregate does.
-		p.st.SetRoutine(fmt.Sprintf("rle-agg+hash(workers=%d)", p.workers))
+		routine = "rle-agg+" + routine
 	}
+	p.st.SetRoutine(routine)
 
 	merged := cores[0]
 	for _, c := range cores[1:] {

@@ -128,6 +128,9 @@ type mergeCursor struct {
 	at      int
 	charged int
 	done    bool
+	// pending is a chunk read whose charge was denied; the next load
+	// charges it again instead of reading past it.
+	pending *spill.Chunk
 }
 
 // openMergeCursor opens path and positions on the first row.
@@ -151,20 +154,26 @@ func (c *mergeCursor) unload() {
 }
 
 func (c *mergeCursor) load() error {
-	ch, err := c.r.Next()
-	if err == io.EOF {
-		c.unload()
-		c.done = true
-		return nil
-	}
-	if err != nil {
-		return err
+	ch := c.pending
+	if ch == nil {
+		var err error
+		ch, err = c.r.Next()
+		if err == io.EOF {
+			c.unload()
+			c.done = true
+			return nil
+		}
+		if err != nil {
+			return err
+		}
 	}
 	c.unload()
 	n := ch.Bytes()
 	if err := c.qc.Charge(c.op, n); err != nil {
+		c.pending = ch
 		return err
 	}
+	c.pending = nil
 	c.charged = n
 	c.ch = ch
 	c.at = 0

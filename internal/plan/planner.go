@@ -389,10 +389,38 @@ func newTableScan(t *storage.Table, v *delta.View, ex *Explain, names ...string)
 	return scan, nil
 }
 
+// narrowestColumn names t's column whose full scan reads the fewest
+// bytes: the narrowest stored value width, ties to the smaller stored
+// stream ("" for a table without columns).
+func narrowestColumn(t *storage.Table) string {
+	var best *storage.Column
+	for _, c := range t.Columns {
+		if c.Data == nil {
+			continue
+		}
+		if best == nil || c.Data.Width() < best.Data.Width() ||
+			c.Data.Width() == best.Data.Width() && c.Data.PhysicalSize() < best.Data.PhysicalSize() {
+			best = c
+		}
+	}
+	if best == nil {
+		return ""
+	}
+	return best.Name
+}
+
 // buildScanPlan is the control: Scan => Filter (Fig. 10 plan 1), with
 // optional exchange-parallelized filtering.
 func buildScanPlan(q Query, opt Options, ex *Explain) (exec.Operator, error) {
 	cols := neededColumns(q)
+	if len(cols) == 0 && len(q.Aggs) > 0 {
+		// An aggregate that names no column (COUNT(*)) needs rows, not
+		// values: one column gives the row count, and no names would
+		// mean every column.
+		if c := narrowestColumn(q.Table); c != "" {
+			cols = []string{c}
+		}
+	}
 	scan, err := newTableScan(q.Table, q.Delta, ex, cols...)
 	if err != nil {
 		return nil, err
@@ -623,8 +651,13 @@ func finishPlan(op exec.Operator, q Query, opt Options, rows int, ex *Explain) (
 				workers = 1
 			}
 		}
+		// Either operator picks its grouping mode from the key metadata
+		// at Open through the same chooseAggMode; the workers of the
+		// parallel one run the direct mode too.
 		if workers > 1 {
-			op = exec.NewParallelAggregate(op, keyIdxs, specs, workers)
+			pa := exec.NewParallelAggregate(op, keyIdxs, specs, workers)
+			pa.EncodedOff = opt.EncodedExec < 0
+			op = pa
 			ex.add("ParallelAggregate[%s, %d keys, %d aggs]",
 				workersLabel(workers, auto), len(keyIdxs), len(specs))
 		} else {
