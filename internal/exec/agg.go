@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -171,17 +170,16 @@ func chooseAggMode(in []ColInfo, keyCols []int, forced AggMode, encodedOff, seri
 	return AggHash
 }
 
-// colMemo is one string column's interning memo: per source heap, each
-// source token's aggregation-heap token and dense id, so the column is
-// interned once per distinct token instead of once per row, with no
+// colMemo is one string column's interning memo over its schema heap:
+// each source token's aggregation-heap token and dense id, so the column
+// is interned once per distinct token instead of once per row, with no
 // string allocated per row. Entries sit in a dense slice indexed by
 // token>>2 (a token is an element's byte offset, and elements lie at
-// least 4 bytes apart). It covers two heaps, the column's schema heap and
-// the last other heap a block carried (a DeltaScan's insert heap, a
-// computed column's per-block heap), whose slice is reused.
+// least 4 bytes apart). Blocks on any other heap (a DeltaScan's insert
+// heap, a computed column's per-block heap) take the per-row path.
 type colMemo struct {
-	src  [2]*heap.Heap
-	toks [2][]memoEntry
+	src  *heap.Heap
+	toks []memoEntry       // allocated (and charged) on the first block over src
 	ids  map[uint64]uint64 // aggregation token -> dense id, first seen first
 }
 
@@ -189,34 +187,35 @@ type colMemo struct {
 // unfilled entry holds the NULL token, which no string interns to.
 type memoEntry struct{ tok, id uint64 }
 
-func newColMemo(schema *heap.Heap) *colMemo {
-	m := &colMemo{ids: make(map[uint64]uint64)}
-	m.src[0] = schema
-	return m
-}
+// memoEntryBytes is a memoEntry's size; memoIDBytes charges one ids
+// entry, as the cost model charges a COUNTD map entry.
+const (
+	memoEntryBytes = 16
+	memoIDBytes    = 16
+)
 
-// forHeap returns h's memo entries, or nil when h is past the memo's
-// bound: near-unique columns keep the per-row path.
-func (m *colMemo) forHeap(h *heap.Heap) []memoEntry {
-	if m == nil || h == nil || h.Size()>>2 > tokenDirectLimit {
+// memoFor returns col's memo entries when h is the column's schema heap,
+// else nil. The slice is charged against the budget when first
+// allocated; a denied charge, or a heap past tokenDirectLimit elements'
+// worth of bytes (near-unique columns), keeps the per-row path.
+func (c *aggCore) memoFor(col int, h *heap.Heap) []memoEntry {
+	m := c.memos[col]
+	if m == nil || h != m.src {
 		return nil
 	}
-	slot := 0
-	if h != m.src[0] {
-		slot = 1
-		if h != m.src[1] {
-			m.src[1], m.toks[1] = h, m.toks[1][:0]
+	if m.toks == nil {
+		n := h.Size()>>2 + 1
+		if n > tokenDirectLimit+1 || c.qc.Charge(c.opName, n*memoEntryBytes) != nil {
+			return nil
 		}
-	}
-	if n := h.Size()>>2 + 1; len(m.toks[slot]) < n {
-		// First sight of h, or h grew: (re)size, marking every entry unfilled.
-		t := slices.Grow(m.toks[slot][:0], n)[:n]
-		for i := range t {
-			t[i].tok = types.NullToken
+		m.toks = make([]memoEntry, n)
+		for i := range m.toks {
+			m.toks[i].tok = types.NullToken
 		}
-		m.toks[slot] = t
+		c.charged += n * memoEntryBytes
+		c.memoCharge += n * memoEntryBytes
 	}
-	return m.toks[slot]
+	return m.toks
 }
 
 // id returns aggregation token tok's dense id, assigning the next one on
@@ -284,8 +283,9 @@ type aggCore struct {
 	// String columns that participate in grouping or MIN/MAX/COUNTD are
 	// re-interned into one heap per column so tokens stay comparable
 	// across blocks (computed string columns carry per-block heaps).
-	// memos (nil with encoded execution off) make that once per distinct
-	// source token; keyIDs holds a direct-mode string key's block ids.
+	// memos (nil with encoded execution off, or without a schema heap)
+	// make that once per distinct source token; keyIDs holds a
+	// direct-mode string key's block ids.
 	strHeaps []*heap.Heap
 	strAccs  []*heap.Accelerator
 	memos    []*colMemo
@@ -297,6 +297,7 @@ type aggCore struct {
 	heapBytes    int
 	charged      int
 	directCharge int // the direct table's up-front charge, kept across evictions
+	memoCharge   int // the memo slices' charge, also kept across evictions
 }
 
 // newAggCore sets up the grouping state for the chosen mode; the direct
@@ -354,8 +355,8 @@ func newAggCore(in []ColInfo, keyCols []int, specs []AggSpec, chosen AggMode, en
 		}
 		c.strHeaps[col] = heap.New(coll)
 		c.strAccs[col] = heap.NewAccelerator(c.strHeaps[col], 0)
-		if !encodedOff {
-			c.memos[col] = newColMemo(in[col].Heap)
+		if !encodedOff && in[col].Heap != nil {
+			c.memos[col] = &colMemo{src: in[col].Heap, ids: make(map[uint64]uint64)}
 		}
 	}
 	// Per-group hash-table footprint: keys, accumulators, bookkeeping.
@@ -379,7 +380,7 @@ func (c *aggCore) internStrings(b *vec.Block) {
 		}
 		v := &b.Vecs[col]
 		m, ids := c.memos[col], c.keyIDs[col]
-		memo := m.forHeap(v.Heap)
+		memo := c.memoFor(col, v.Heap)
 		for i, src := range v.Data[:b.N] {
 			var e memoEntry
 			if j := src >> 2; j < uint64(len(memo)) && memo[j].tok != types.NullToken {
@@ -405,8 +406,9 @@ func (c *aggCore) internStrings(b *vec.Block) {
 }
 
 // freshHeaps replaces the aggregation heaps once a spill has moved their
-// groups out, rebuilding the memos with them: tokens and ids minted
-// against the old heaps must not survive the reset.
+// groups out and empties the memos in place: tokens and ids minted
+// against the old heaps must not survive the reset, while the memo
+// slices (and their charge) stay for the next blocks.
 func (c *aggCore) freshHeaps() {
 	for col, h := range c.strHeaps {
 		if h == nil {
@@ -414,10 +416,25 @@ func (c *aggCore) freshHeaps() {
 		}
 		c.strHeaps[col] = heap.New(h.Collation())
 		c.strAccs[col] = heap.NewAccelerator(c.strHeaps[col], 0)
-		if c.memos[col] != nil {
-			c.memos[col] = newColMemo(c.in[col].Heap)
+		if m := c.memos[col]; m != nil {
+			for i := range m.toks {
+				m.toks[i].tok = types.NullToken
+			}
+			clear(m.ids)
 		}
 	}
+}
+
+// strBytes is the string state the budget is charged for as it grows:
+// the aggregation heaps and the memos' id entries.
+func (c *aggCore) strBytes() int {
+	n := heapSizes(c.strHeaps)
+	for _, m := range c.memos {
+		if m != nil {
+			n += len(m.ids) * memoIDBytes
+		}
+	}
+	return n
 }
 
 // toHash moves the direct mode to hash for the rest of the input,
@@ -468,7 +485,7 @@ func (c *aggCore) consumeBlock(qc *QueryCtx, b *vec.Block) error {
 	if c.chosen == AggOrdered && c.curSet {
 		after++
 	}
-	grown := heapSizes(c.strHeaps)
+	grown := c.strBytes()
 	cost := (after-before)*c.groupCost + b.N*c.perRow + (grown - c.heapBytes)
 	c.heapBytes = grown
 	if err := qc.Charge(c.opName, cost); err != nil {
@@ -787,7 +804,7 @@ func (c *aggCore) mergeFrom(o *aggCore, qc *QueryCtx) error {
 			c.mergeAcc(&dst.accs[j], &g.accs[j], o, c.specs[j])
 		}
 	}
-	grown := heapSizes(c.strHeaps)
+	grown := c.strBytes()
 	cost := (len(c.groups)-before)*c.groupCost + (grown - c.heapBytes)
 	c.heapBytes = grown
 	if err := qc.Charge(c.opName, cost); err != nil {
@@ -899,14 +916,15 @@ func (c *aggCore) emit(b *vec.Block, at int, outSchema []ColInfo) int {
 	return n
 }
 
-// release drops the group state and returns the charged bytes to the
-// accountant.
+// release drops the group state and the memos and returns the charged
+// bytes to the accountant.
 func (c *aggCore) release(qc *QueryCtx) {
 	c.groups = nil
 	c.lookup = nil
 	c.direct = nil
+	clear(c.memos)
 	qc.Release(c.charged)
-	c.charged = 0
+	c.charged, c.directCharge, c.memoCharge = 0, 0, 0
 }
 
 // Aggregate is the stop-and-go grouping operator.

@@ -201,7 +201,10 @@ func TestDirectBoundProductFallsBackToHash(t *testing.T) {
 // TestTokenDirectDegradesOnForeignHeap: a DeltaScan's insert blocks carry
 // a second heap. Strings it shares with the schema heap keep the direct
 // mode; once it brings more distinct strings than the schema heap holds,
-// the aggregate moves to hash mid-stream and the answer stays right.
+// the aggregate moves to hash mid-stream and the answer stays right. Ids
+// are assigned per core, first seen first, so the insert block alone
+// holds more distinct strings than the bound: whichever worker pulls it
+// degrades, even one that saw no base block.
 func TestTokenDirectDegradesOnForeignHeap(t *testing.T) {
 	var base []string
 	for i := 0; i < 3000; i++ {
@@ -223,8 +226,8 @@ func TestTokenDirectDegradesOnForeignHeap(t *testing.T) {
 	}{
 		{"known strings", ins("q", "r", "r"), "token-direct",
 			map[string]string{"[p]": "1000", "[q]": "1001", "[r]": "1002"}},
-		{"new strings", ins("q", "new1", "new2", "new1"), "hash",
-			map[string]string{"[p]": "1000", "[q]": "1001", "[r]": "1000", "[new1]": "2", "[new2]": "1"}},
+		{"new strings", ins("q", "new1", "new2", "new3", "new1"), "hash",
+			map[string]string{"[p]": "1000", "[q]": "1001", "[r]": "1000", "[new1]": "2", "[new2]": "1", "[new3]": "1"}},
 	} {
 		for _, w := range []int{1, 2} {
 			scan, err := NewDeltaScan(deltaView(t, tab, tc.ops), false)
@@ -320,4 +323,56 @@ func TestOrderedSpoolRebuildsMemo(t *testing.T) {
 	sortRows(want)
 	sortRows(got)
 	rowsEqual(t, want, got, "ordered spool")
+}
+
+// TestMemoChargedToBudget: a string key whose schema heap is large but
+// whose rows use three strings. The memo slice is then the biggest piece
+// of the aggregate's state, so an uncharged memo leaves the peak below
+// it. Under a budget too small for the memo the aggregate skips it and
+// still groups by token-direct.
+func TestMemoChargedToBudget(t *testing.T) {
+	vals := make([]string, 6000)
+	for i := range vals {
+		vals[i] = []string{"x", "y", nullStr, "z"}[i%4]
+	}
+	col := strColumn("s", types.CollateBinary, vals)
+	for i := 0; i < 8000; i++ {
+		col.Heap.Append(fmt.Sprintf("pad%05d", i))
+	}
+	tab := makeTable("t", col)
+	memoBytes := int64(col.Heap.Size()>>2+1) * memoEntryBytes
+	directBytes := int64(col.Heap.Len()+1) * 8
+	specs := []AggSpec{{Func: Count, Col: -1}}
+	want := map[string]string{"[x]": "1500", "[y]": "1500", "[z]": "1500", "[NULL]": "1500"}
+	for _, w := range []int{1, 2} {
+		run := func(budget int64) *QueryCtx {
+			t.Helper()
+			var op Operator = NewAggregate(scanAll(tab), []int{0}, specs, AggAuto)
+			if w > 1 {
+				op = NewParallelAggregate(scanAll(tab), []int{0}, specs, w)
+			}
+			qc := NewQueryCtx(nil, budget)
+			rows, err := CollectStringsCtx(qc, op)
+			if err != nil {
+				t.Fatalf("workers=%d budget=%d: %v", w, budget, err)
+			}
+			got := map[string]string{}
+			for _, r := range rows {
+				got[fmt.Sprint(r[:1])] = r[1]
+			}
+			sameGroups(t, fmt.Sprintf("workers=%d budget=%d", w, budget), want, got)
+			if r := routineOf(op); !strings.HasPrefix(r, "token-direct") {
+				t.Fatalf("workers=%d budget=%d: routine %q, want token-direct", w, budget, r)
+			}
+			if u := qc.Used(); u != 0 {
+				t.Fatalf("workers=%d budget=%d: %d bytes still charged after Close", w, budget, u)
+			}
+			return qc
+		}
+		if p := run(0).Peak(); p < memoBytes+int64(w)*directBytes {
+			t.Fatalf("workers=%d: peak %d bytes; the memo alone is %d beside %d of direct tables",
+				w, p, memoBytes, int64(w)*directBytes)
+		}
+		run(int64(w)*directBytes + 16<<10)
+	}
 }

@@ -17,12 +17,12 @@ import (
 // replays the spool and then the in-memory tail — key order, and
 // therefore the operator's sortedness contract, is preserved.
 type orderedSpool struct {
-	qc     *QueryCtx
-	op     string
-	in     []ColInfo
+	qc      *QueryCtx
+	op      string
+	in      []ColInfo
 	keyCols []int
-	aspecs []AggSpec
-	out    []ColInfo
+	aspecs  []AggSpec
+	out     []ColInfo
 
 	mgr   *spill.Manager
 	stats *OpSpillStats
@@ -177,8 +177,8 @@ func (o *orderedSpool) close() {
 }
 
 // resetOrderedAfterSpool drops the spooled groups, re-interns the running
-// group's string tokens into fresh heaps (with fresh memos), and
-// re-charges just the retained state.
+// group's string tokens into fresh heaps (emptying the memos), and
+// re-charges just the retained state beside the memo slices.
 func (c *aggCore) resetOrderedAfterSpool(qc *QueryCtx) error {
 	old := make([]*heap.Heap, len(c.strHeaps))
 	copy(old, c.strHeaps)
@@ -217,9 +217,9 @@ func (c *aggCore) resetOrderedAfterSpool(qc *QueryCtx) error {
 			}
 		}
 	}
-	c.heapBytes = heapSizes(c.strHeaps)
-	qc.Release(c.charged)
-	c.charged = 0
+	c.heapBytes = c.strBytes()
+	qc.Release(c.charged - c.memoCharge)
+	c.charged = c.memoCharge
 	cost := 0
 	if c.curSet {
 		cost = c.groupCost + c.heapBytes + retained*16
@@ -227,6 +227,6 @@ func (c *aggCore) resetOrderedAfterSpool(qc *QueryCtx) error {
 	if err := qc.Charge(c.opName, cost); err != nil {
 		return err
 	}
-	c.charged = cost
+	c.charged += cost
 	return nil
 }

@@ -403,7 +403,7 @@ func (sp *aggSpill) foldChunk(core *aggCore, ch *spill.Chunk) error {
 			func(c int) *heap.Heap { return ch.Cols[c].Heap },
 			keys, nil)
 	}
-	grown := heapSizes(core.strHeaps)
+	grown := core.strBytes()
 	cost := (len(core.groups)-before)*core.groupCost + ch.Rows*core.perRow + (grown - core.heapBytes)
 	core.heapBytes = grown
 	if err := sp.qc.Charge(sp.op, cost); err != nil {
@@ -529,8 +529,8 @@ func (sp *aggSpill) cleanup() {
 }
 
 // resetAfterEvict drops the group state after its groups were spilled,
-// keeping the direct table (still allocated and charged) and minting
-// fresh string heaps and memos.
+// keeping the direct table and the memo slices (still allocated and
+// charged), minting fresh string heaps and emptying the memos.
 func (c *aggCore) resetAfterEvict(qc *QueryCtx) {
 	c.groups = nil
 	if c.lookup != nil {
@@ -541,8 +541,9 @@ func (c *aggCore) resetAfterEvict(qc *QueryCtx) {
 	}
 	c.freshHeaps()
 	c.heapBytes = 0
-	qc.Release(c.charged - c.directCharge)
-	c.charged = c.directCharge
+	kept := c.directCharge + c.memoCharge
+	qc.Release(c.charged - kept)
+	c.charged = kept
 }
 
 // aggSpillEmitter replaces the in-memory emit path after a spill: it

@@ -495,7 +495,9 @@ func (j *HashJoin) decodeInnerKey(qc *QueryCtx, key *BuiltColumn) error {
 	if p < 2 || n < parallelBuildMin {
 		r := enc.NewReader(key.Data)
 		r.Read(0, n, j.innerCol)
-		widenInPlace(j.innerCol, w, key.Info)
+		for i, v := range j.innerCol {
+			j.innerCol[i] = resolveRaw(v, w, key.Info)
+		}
 		return nil
 	}
 	// enc.Reader caches decode state, so each range decodes through its
@@ -503,7 +505,9 @@ func (j *HashJoin) decodeInnerKey(qc *QueryCtx, key *BuiltColumn) error {
 	return parallelRanges(p, n, func(_, lo, hi int) {
 		r := enc.NewReader(key.Data)
 		r.Read(lo, hi-lo, j.innerCol[lo:hi])
-		widenInPlace(j.innerCol[lo:hi], w, key.Info)
+		for i := lo; i < hi; i++ {
+			j.innerCol[i] = resolveRaw(j.innerCol[i], w, key.Info)
+		}
 	})
 }
 

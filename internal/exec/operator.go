@@ -109,9 +109,20 @@ func (bt *Built) Value(c, r int) uint64 {
 // are never narrowed onto their sentinel pattern (FlowTable reserves it),
 // so the mapping is unambiguous.
 func resolveRaw(v uint64, width int, info ColInfo) uint64 {
-	d := [1]uint64{v}
-	widenInPlace(d[:], width, info)
-	return d[0]
+	if width == 8 {
+		return v
+	}
+	tokens := info.Heap != nil || info.Dict != nil || info.Type == types.String
+	if tokens {
+		if v == types.NullToken&enc.WidthMask(width) {
+			return types.NullToken
+		}
+		return v
+	}
+	if signedType(info.Type) {
+		return uint64(enc.SignExtend(v, width))
+	}
+	return v
 }
 
 func signedType(t types.Type) bool {

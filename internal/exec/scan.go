@@ -240,22 +240,13 @@ func encRoutine(kinds []enc.Kind) string {
 	return out
 }
 
-// widenInPlace converts raw width-sized stream values to full-width bits
-// (see resolveRaw), deciding per column once, not per value.
+// widenInPlace converts raw width-sized stream values to full-width bits.
 func widenInPlace(data []uint64, width int, info ColInfo) {
-	switch {
-	case width == 8:
-	case info.Heap != nil || info.Dict != nil || info.Type == types.String:
-		sentinel := types.NullToken & enc.WidthMask(width)
-		for i, v := range data {
-			if v == sentinel {
-				data[i] = types.NullToken
-			}
-		}
-	case signedType(info.Type):
-		for i, v := range data {
-			data[i] = uint64(enc.SignExtend(v, width))
-		}
+	if width == 8 {
+		return
+	}
+	for i, v := range data {
+		data[i] = resolveRaw(v, width, info)
 	}
 }
 

@@ -189,7 +189,7 @@ func (c *mergeCursor) advance() error {
 	return c.load()
 }
 
-func (c *mergeCursor) val(col int) uint64        { return c.ch.Cols[col].Values[c.at] }
+func (c *mergeCursor) val(col int) uint64         { return c.ch.Cols[col].Values[c.at] }
 func (c *mergeCursor) strHeap(col int) *heap.Heap { return c.ch.Cols[col].Heap }
 
 // close releases the chunk charge and the file handle; remove also
